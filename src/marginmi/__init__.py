@@ -4,22 +4,19 @@ margins."""
 
 __version__ = "0.1.0"
 
-from .errors import (ArityError, CompletenessError, DesignError,
-                     InfeasibleMarginError, MarginMIError, ParameterError,
-                     SchemaError, SeparationError, SingularDesignError)
+from .errors import (CompletenessError, DesignError, MarginMIError,
+                     ParameterError, SchemaError, SeparationError,
+                     SingularDesignError)
 from .estimators import (FitResult, MIEstimate, aggregate_runs, ht_with_se,
                          rubin_combine, unweighted_probit_fit,
                          weighted_probit_fit)
 from .harness import (ScenarioConfig, ScenarioReport, builtin_scenarios,
-                      emit_report, read_report_table, run_scenario)
+                      emit_report, estimands_from_chain, read_report_table,
+                      run_scenario)
 from .mcmc import (AcceptanceTrace, ChainResult, ChainSettings, ChainState,
-                   Method, constraint_acceptance_ratio, impute_missing_x,
-                   metropolis_imputation_step, run_chain,
-                   sample_truncated_normal, update_probit_coefficients,
-                   update_theta, write_chain_trace_csv)
-from .models import (PatternMixtureTable, ProbitCoefficients,
-                     conditional_independence_theta, margin_linear_constraint,
-                     norm_cdf, probit_prob)
+                   Method, constraint_acceptance_ratio, run_chain, update_theta,
+                   write_chain_trace_csv)
+from .models import norm_cdf
 from .survey import (AuxiliaryMargin, SealedTruth, StratifiedPopulation,
                      SurveySample, draw_stratified_sample, generate_population,
                      ht_total, impose_missingness, margin_from_population,

@@ -21,8 +21,8 @@ import time
 from . import __version__
 from .errors import MarginMIError, SchemaError
 from .harness import (SCENARIO_DESCRIPTIONS, ScenarioConfig, builtin_scenarios,
-                      emit_report, refresh_margin_variance, run_scenario,
-                      _estimands_from_chain)
+                      emit_report, estimands_from_chain, refresh_margin_variance,
+                      run_scenario)
 from .mcmc import ChainSettings, Method, run_chain, write_chain_trace_csv
 from .survey import AuxiliaryMargin, read_sample_csv, write_sample_csv
 
@@ -172,7 +172,7 @@ def cmd_impute(args, argv) -> int:
 
     t1 = time.perf_counter()
     result = run_chain(sample, margin, settings)
-    estimates = _estimands_from_chain(result, method, args.with_replacement_variance)
+    estimates = estimands_from_chain(result, method, args.with_replacement_variance)
     run_s = time.perf_counter() - t1
 
     t2 = time.perf_counter()

@@ -10,7 +10,7 @@ class MarginMIError(ValueError):
 
 
 class ParameterError(MarginMIError):
-    """A model parameter is outside its domain (bad probability vector, q=0, ...)."""
+    """A model parameter is outside its domain (bad probability vector, ...)."""
 
 
 class DesignError(MarginMIError):
@@ -19,14 +19,6 @@ class DesignError(MarginMIError):
 
 class CompletenessError(MarginMIError):
     """An operation requiring fully observed data received missing values."""
-
-
-class ArityError(MarginMIError):
-    """A covariate required by a coefficient set was not supplied (or vice versa)."""
-
-
-class InfeasibleMarginError(MarginMIError):
-    """A margin-implied probability falls outside [0, 1]."""
 
 
 class SingularDesignError(MarginMIError):

@@ -9,7 +9,6 @@ can run in parallel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -19,6 +18,7 @@ from scipy.special import log_ndtr
 
 from .errors import (CompletenessError, DesignError, ParameterError,
                      SeparationError, SingularDesignError)
+from .models import full_rank_gram, outcome_design, response_design
 from .survey import SurveySample
 
 _SCORE_TOL = 1e-8
@@ -137,32 +137,6 @@ def _newton_probit(design, z, w):
     return beta, info, False, _MAX_NEWTON
 
 
-def _require_full_rank(design):
-    eig = np.linalg.eigvalsh(design.T @ design)
-    if eig[0] <= 1e-10 * max(eig[-1], 1.0):
-        raise SingularDesignError("design matrix is rank deficient")
-
-
-def _outcome_design(sample: SurveySample, stratum_term: bool):
-    cols = [np.ones(sample.size), (sample.y == 2).astype(float),
-            (sample.y == 3).astype(float)]
-    terms = ["intercept", "y2", "y3"]
-    if stratum_term:
-        cols.append((sample.stratum == 2).astype(float))
-        terms.append("stratum2")
-    return np.column_stack(cols), tuple(terms)
-
-
-def _response_design(sample: SurveySample, x_term: bool):
-    cols = [np.ones(sample.size), (sample.y == 2).astype(float),
-            (sample.y == 3).astype(float)]
-    terms = ["intercept", "y2", "y3"]
-    if x_term:
-        cols.append(sample.x.astype(float))
-        terms.append("x")
-    return np.column_stack(cols), tuple(terms)
-
-
 def weighted_probit_fit(sample: SurveySample, stratum_term: bool = False,
                         with_replacement: bool = False) -> FitResult:
     """Survey-weighted probit of x on y indicators (optionally a stratum term).
@@ -174,8 +148,8 @@ def weighted_probit_fit(sample: SurveySample, stratum_term: bool = False,
     """
     if not sample.is_complete:
         raise CompletenessError("weighted probit fit needs completed data")
-    design, terms = _outcome_design(sample, stratum_term)
-    _require_full_rank(design)
+    design, terms = outcome_design(sample.y, sample.stratum if stratum_term else None)
+    full_rank_gram(design)
     z = sample.x > 0.5
     beta, info, converged, iters = _newton_probit(design, z, sample.weight)
 
@@ -206,8 +180,8 @@ def unweighted_probit_fit(sample: SurveySample, x_term: bool = True) -> FitResul
     """
     if x_term and not sample.is_complete:
         raise CompletenessError("response-model fit with an x term needs completed data")
-    design, terms = _response_design(sample, x_term)
-    _require_full_rank(design)
+    design, terms = response_design(sample.y, sample.x if x_term else None)
+    full_rank_gram(design)
     z = sample.r == 1
     w = np.ones(sample.size)
     beta, _, converged, iters = _newton_probit(design, z, w)
@@ -275,8 +249,3 @@ def aggregate_runs(mi_estimates: Sequence[MIEstimate]) -> Tuple[float, float]:
     points = [e.point for e in mi_estimates]
     variances = [e.variance for e in mi_estimates]
     return float(np.mean(points)), math.sqrt(float(np.mean(variances)))
-
-
-def fit_results_to_json(results: Dict[str, FitResult]) -> str:
-    return json.dumps({k: v.to_json_dict() for k, v in results.items()},
-                      indent=2, sort_keys=True)

@@ -20,7 +20,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import (ParameterError, SchemaError, SeparationError,
+                     SingularDesignError)
 from .estimators import (MIEstimate, aggregate_runs, ht_variance_by_stratum,
                          ht_with_se, rubin_combine, unweighted_probit_fit,
                          weighted_probit_fit)
@@ -240,12 +241,14 @@ class ScenarioReport:
         }
 
 
-def _estimands_from_chain(result: ChainResult, method: Method,
-                          with_replacement: bool) -> Dict[str, MIEstimate]:
+def estimands_from_chain(result: ChainResult, method: Method,
+                         with_replacement: bool) -> Dict[str, MIEstimate]:
     """Fit all estimators on each completed dataset, then Rubin-combine.
 
     The response-model coefficients are only estimable when the nonresponse
-    indicator varies; with nothing missing the gamma family is omitted.
+    indicator varies; with nothing missing the gamma family is omitted. A
+    fit that fails on one completed dataset raises its error again with the
+    1-based draw index prepended.
     """
     names_outcome = {"alpha0": "intercept", "alpha12": "y2", "alpha13": "y3"}
     r = result.datasets[0].r
@@ -259,30 +262,37 @@ def _estimands_from_chain(result: ChainResult, method: Method,
     for key in list(names_outcome) + list(names_response):
         qs[key] = []
         us[key] = []
-    for ds in result.datasets:
+    for draw, ds in enumerate(result.datasets, start=1):
         total, se = ht_with_se(ds, with_replacement=with_replacement)
         qs["T_X"].append(total)
         us["T_X"].append(se ** 2)
-        wfit = weighted_probit_fit(ds, stratum_term=method.outcome_has_stratum,
-                                   with_replacement=with_replacement)
+        try:
+            wfit = weighted_probit_fit(ds, stratum_term=method.outcome_has_stratum,
+                                       with_replacement=with_replacement)
+            rfit = (unweighted_probit_fit(ds, x_term=method.response_has_x)
+                    if names_response else None)
+        except (SeparationError, SingularDesignError) as exc:
+            raise type(exc)(f"draw {draw}: {exc}") from exc
         for key, term in names_outcome.items():
             qs[key].append(wfit.coef(term))
             us[key].append(wfit.se(term) ** 2)
-        if names_response:
-            rfit = unweighted_probit_fit(ds, x_term=method.response_has_x)
-            for key, term in names_response.items():
-                qs[key].append(rfit.coef(term))
-                us[key].append(rfit.se(term) ** 2)
+        for key, term in names_response.items():
+            qs[key].append(rfit.coef(term))
+            us[key].append(rfit.se(term) ** 2)
     return {key: rubin_combine(qs[key], us[key]) for key in qs}
 
 
 def _run_method_task(args) -> MethodRunOutcome:
     (run_index, method, sample, margin, settings, with_replacement,
      trace_path) = args
-    result = run_chain(sample, margin if method.uses_constraint else None, settings)
-    if trace_path is not None:
-        write_chain_trace_csv(result, trace_path)
-    estimates = _estimands_from_chain(result, method, with_replacement)
+    try:
+        result = run_chain(sample, margin if method.uses_constraint else None,
+                           settings)
+        if trace_path is not None:
+            write_chain_trace_csv(result, trace_path)
+        estimates = estimands_from_chain(result, method, with_replacement)
+    except (SeparationError, SingularDesignError) as exc:
+        raise type(exc)(f"run {run_index}, {method.label}: {exc}") from exc
     acceptance = result.trace.ratio_by_block()
     return MethodRunOutcome(run_index=run_index, method=method,
                             estimates=estimates, acceptance_by_block=acceptance,

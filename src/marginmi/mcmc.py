@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-from .errors import DesignError, ParameterError, SingularDesignError
-from .models import ProbitCoefficients
+from .errors import DesignError, ParameterError
+from .models import full_rank_gram, outcome_design, response_design
 from .survey import AuxiliaryMargin, SurveySample
 
-_TAIL_CUT = 3.0          # standardized bound beyond which tail rejection is used
-_RANK_RTOL = 1e-10
+_LOG_TAIL = -30.0        # sign * lp below which latents are drawn in log space
 
 
 class Method(enum.Enum):
@@ -98,13 +97,6 @@ class ChainState:
     def completed_total(self) -> float:
         return float(sum(self.totals_by_stratum.values()))
 
-    def copy(self) -> "ChainState":
-        return ChainState(theta=self.theta.copy(),
-                          outcome_coef=self.outcome_coef.copy(),
-                          response_coef=self.response_coef.copy(),
-                          imputations=self.imputations.copy(),
-                          totals_by_stratum=dict(self.totals_by_stratum))
-
 
 @dataclass(frozen=True)
 class AcceptanceTrace:
@@ -149,109 +141,24 @@ class ChainResult:
 # Truncated normal sampling
 # ---------------------------------------------------------------------------
 
-def _robert_tail(a: np.ndarray, rng) -> np.ndarray:
-    """Exponential-rejection draws from a standard normal truncated to (a, inf)."""
-    out = np.empty_like(a)
-    pending = np.arange(len(a))
-    alpha = 0.5 * (a + np.sqrt(a * a + 4.0))
-    while len(pending):
-        ap = a[pending]
-        alp = alpha[pending]
-        z = ap + rng.exponential(1.0, len(pending)) / alp
-        accept = rng.random(len(pending)) <= np.exp(-0.5 * (z - alp) ** 2)
-        out[pending[accept]] = z[accept]
-        pending = pending[~accept]
-    return out
-
-
-def sample_truncated_normal(mean, lower, upper, rng, size=None):
-    """Draw from a unit-variance normal restricted to (lower, upper).
-
-    Inverse-CDF sampling (computed on whichever tail keeps full precision)
-    in central regions; one-sided truncations beyond 3 standard deviations
-    use exponential rejection. Scalar inputs give a scalar unless ``size``
-    is set; array inputs broadcast.
-    """
-    mean = np.asarray(mean, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    shape = np.broadcast_shapes(mean.shape, lower.shape, upper.shape)
-    scalar_out = shape == () and size is None
-    if size is not None:
-        shape = np.broadcast_shapes(shape, (size,))
-    a = (np.broadcast_to(lower, shape) - np.broadcast_to(mean, shape)).ravel()
-    b = (np.broadcast_to(upper, shape) - np.broadcast_to(mean, shape)).ravel()
-    if not (a < b).all():
-        raise ParameterError("empty truncation interval: need lower < upper")
-
-    n = a.size
-    out = np.empty(n)
-    u = 1.0 - rng.random(n)                 # in (0, 1]
-    neg_inf_a = np.isneginf(a)
-    pos_inf_b = np.isposinf(b)
-
-    m = neg_inf_a & pos_inf_b
-    if m.any():
-        out[m] = rng.standard_normal(int(m.sum()))
-
-    m = ~neg_inf_a & pos_inf_b              # lower truncation only
-    if m.any():
-        central = m & (a <= _TAIL_CUT)
-        if central.any():
-            out[central] = -ndtri(u[central] * ndtr(-a[central]))
-        tail = m & (a > _TAIL_CUT)
-        if tail.any():
-            out[tail] = _robert_tail(a[tail], rng)
-
-    m = neg_inf_a & ~pos_inf_b              # upper truncation only
-    if m.any():
-        central = m & (b >= -_TAIL_CUT)
-        if central.any():
-            out[central] = ndtri(u[central] * ndtr(b[central]))
-        tail = m & (b < -_TAIL_CUT)
-        if tail.any():
-            out[tail] = -_robert_tail(-b[tail], rng)
-
-    m = ~neg_inf_a & ~pos_inf_b             # two-sided
-    if m.any():
-        right = m & (a >= 0)
-        left = m & (b <= 0)
-        mid = m & ~right & ~left
-        if right.any():
-            sa = ndtr(-a[right])
-            sb = ndtr(-b[right])
-            out[right] = -ndtri(sb + u[right] * (sa - sb))
-        if left.any():
-            pa = ndtr(a[left])
-            pb = ndtr(b[left])
-            out[left] = ndtri(pa + u[left] * (pb - pa))
-        if mid.any():
-            pa = ndtr(a[mid])
-            pb = ndtr(b[mid])
-            out[mid] = ndtri(pa + u[mid] * (pb - pa))
-        # mass difference can underflow in extreme tails; fall back to uniform
-        bad = m & ~np.isfinite(out)
-        if bad.any():
-            out[bad] = a[bad] + u[bad] * (b[bad] - a[bad])
-
-    out = out.reshape(shape) + np.broadcast_to(mean, shape)
-    return float(out) if scalar_out else out
-
-
 def _one_sided_latents(lp: np.ndarray, positive: np.ndarray, rng) -> np.ndarray:
-    """Latent utilities for probit augmentation: N(lp, 1) truncated to the
-    side matching each binary response.
+    """Latent utilities for probit augmentation: N(lp, 1) truncated to
+    (0, inf) for a positive response and to (-inf, 0) otherwise.
 
-    Inverse-CDF on the survival side, which stays accurate arbitrarily far
-    into the tail; algebraically the same draw as sample_truncated_normal
-    restricted to (0, inf) / (-inf, 0), specialized for the sampler's hot
-    loop.
+    Inverse-CDF on the retained side: with a = sign * lp and u uniform on
+    (0, 1], the draw is lp - sign * ndtri(u * Phi(a)). Phi(a) underflows
+    near a = -37.5, so entries with a < -30 take the same quantile as
+    ndtri_exp(log u + log Phi(a)), which stays accurate arbitrarily far
+    into the tail.
     """
     sign = np.where(positive, 1.0, -1.0)
     u = 1.0 - rng.random(len(lp))            # in (0, 1]
-    v = u * ndtr(sign * lp)
-    np.clip(v, 1e-300, None, out=v)          # keep ndtri finite if lp is extreme
-    return lp - sign * ndtri(v)
+    a = sign * lp
+    z = ndtri(u * ndtr(a))
+    if a.min() < _LOG_TAIL:
+        far = a < _LOG_TAIL
+        z[far] = ndtri_exp(np.log(u[far]) + log_ndtr(a[far]))
+    return lp - sign * z
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +174,6 @@ def update_theta(y_counts, prior, rng) -> np.ndarray:
     if prior.shape != (3,) or (prior <= 0).any():
         raise ParameterError("Dirichlet prior parameters must be positive")
     return rng.dirichlet(prior + counts)
-
-
-def _check_full_rank(xtx: np.ndarray) -> None:
-    eig = np.linalg.eigvalsh(xtx)
-    if eig[0] <= _RANK_RTOL * max(eig[-1], 1.0):
-        raise SingularDesignError("design matrix is rank deficient")
 
 
 def draw_probit_coefficients(design: np.ndarray, latents: np.ndarray, rng,
@@ -291,30 +192,6 @@ def draw_probit_coefficients(design: np.ndarray, latents: np.ndarray, rng,
     mean = np.linalg.solve(chol.T, np.linalg.solve(chol, xtu))
     z = rng.standard_normal(p)
     return mean + np.linalg.solve(chol.T, z)
-
-
-def update_probit_coefficients(responses, design, current, rng,
-                               check_rank: bool = True) -> np.ndarray:
-    """One latent-utility sweep: draw truncated-normal utilities whose sign
-    matches each binary response, then the conjugate coefficient draw.
-
-    With zero observations this is a draw from the prior (mean 0, identity
-    covariance).
-    """
-    responses = np.asarray(responses)
-    design = np.asarray(design, dtype=float)
-    current = np.asarray(current, dtype=float)
-    n, p = design.shape if design.ndim == 2 else (0, len(current))
-    if n == 0:
-        return rng.standard_normal(p)
-    if check_rank:
-        _check_full_rank(design.T @ design)
-    lp = design @ current
-    pos = responses.astype(bool)
-    lower = np.where(pos, 0.0, -np.inf)
-    upper = np.where(pos, np.inf, 0.0)
-    latents = sample_truncated_normal(lp, lower, upper, rng)
-    return draw_probit_coefficients(design, latents, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +220,6 @@ def _imputation_probs(y: np.ndarray, stratum: np.ndarray,
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), g)
 
 
-def impute_missing_x(unit: Tuple[int, int], outcome_coef: ProbitCoefficients,
-                     response_coef: ProbitCoefficients, method: Method, rng) -> int:
-    """Draw one imputed x for a nonrespondent with the given (y, stratum)."""
-    y, stratum = unit
-    out_vec = _coef_vector(outcome_coef, stratum_term=method.outcome_has_stratum)
-    resp_vec = _coef_vector(response_coef, x_term=method.response_has_x)
-    p = _imputation_probs(np.array([y]), np.array([stratum]), out_vec, resp_vec, method)[0]
-    return int(rng.random() < p)
-
-
-def _coef_vector(coef: ProbitCoefficients, x_term: bool = False,
-                 stratum_term: bool = False) -> np.ndarray:
-    vec = [coef.intercept, coef.y_effects.get(2, 0.0), coef.y_effects.get(3, 0.0)]
-    if x_term:
-        if coef.x_effect is None:
-            raise ParameterError("method requires an x effect in the response model")
-        vec.append(coef.x_effect)
-    if stratum_term:
-        if coef.stratum_effect is None:
-            raise ParameterError("method requires a stratum effect in the outcome model")
-        vec.append(coef.stratum_effect)
-    return np.asarray(vec, dtype=float)
-
-
 def constraint_acceptance_ratio(candidate_total: float, current_total: float,
                                 margin: Tuple[float, float]) -> float:
     """Normal density ratio of candidate vs current completed total.
@@ -387,7 +240,6 @@ class _SamplePrep:
 
     def __init__(self, sample: SurveySample, method: Method):
         self.sample = sample
-        self.n = sample.size
         self.y = sample.y
         self.stratum = sample.stratum
         self.r = sample.r
@@ -409,21 +261,14 @@ class _SamplePrep:
         self.obs_x_mean = float(sample.x[obs_mask].mean()) if n_obs else 0.5
         self.y_counts = np.array([(sample.y == k).sum() for k in (1, 2, 3)], dtype=float)
 
-        self.outcome_terms = ("intercept", "y2", "y3") + (
-            ("stratum2",) if method.outcome_has_stratum else ())
-        self.response_terms = ("intercept", "y2", "y3") + (
-            ("x",) if method.response_has_x else ())
-        base = [np.ones(self.n), (self.y == 2).astype(float), (self.y == 3).astype(float)]
-        if method.outcome_has_stratum:
-            base = base + [(self.stratum == 2).astype(float)]
-        self.outcome_design = np.column_stack(base)
-        self.outcome_xtx = self.outcome_design.T @ self.outcome_design
-        self.response_base = np.column_stack([np.ones(self.n),
-                                              (self.y == 2).astype(float),
-                                              (self.y == 3).astype(float)])
-        self.response_base_xtx = self.response_base.T @ self.response_base
-        _check_full_rank(self.outcome_xtx)
-        _check_full_rank(self.response_base_xtx)
+        self.outcome_design, self.outcome_terms = outcome_design(
+            self.y, self.stratum if method.outcome_has_stratum else None)
+        self.outcome_xtx = full_rank_gram(self.outcome_design)
+        # the x column of an AN response design is refilled every iteration;
+        # only the fixed y columns are rank-checked here
+        self.response_design, self.response_terms = response_design(
+            self.y, sample.x if method.response_has_x else None)
+        self.response_base_xtx = full_rank_gram(self.response_design[:, :3])
 
     def totals_from(self, x_filled: np.ndarray) -> Dict[int, float]:
         return {s: float(np.dot(self.weight[self.stratum == s],
@@ -500,20 +345,6 @@ def _metropolis_step(state: ChainState, prep: _SamplePrep, x_filled: np.ndarray,
     return flags
 
 
-def metropolis_imputation_step(state: ChainState, sample: SurveySample,
-                               margin: Optional[AuxiliaryMargin], method: Method,
-                               rng) -> Tuple[ChainState, np.ndarray]:
-    """Public single-step form: returns a new state plus accepted flags."""
-    if method.uses_constraint and margin is None:
-        raise ParameterError(f"{method.label} requires an auxiliary margin")
-    prep = _SamplePrep(sample, method)
-    new = state.copy()
-    x_filled = sample.x.copy()
-    x_filled[prep.miss] = new.imputations
-    flags = _metropolis_step(new, prep, x_filled, margin, method, rng)
-    return new, flags
-
-
 # ---------------------------------------------------------------------------
 # Full chain
 # ---------------------------------------------------------------------------
@@ -583,11 +414,7 @@ def run_chain(sample: SurveySample, margin: Optional[AuxiliaryMargin],
     totals_draws = np.empty((n_retained, n_blocks))
     accepted_draws = np.empty((n_retained, n_blocks))
 
-    if method.response_has_x:
-        resp_design = np.empty((prep.n, 4))
-        resp_design[:, :3] = prep.response_base
-    else:
-        resp_design = prep.response_base
+    resp_design = prep.response_design
     r_positive = prep.r == 1
 
     kept = 0

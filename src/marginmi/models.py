@@ -1,22 +1,26 @@
-"""Model mathematics: probit link, pattern-mixture identities, margin algebra.
+"""Model coding shared by the sampler and the completed-data estimators.
 
-The probit CDF is evaluated through the C library's erfc (a rational
-approximation accurate to ~1e-16 relative error); acceptance ratios and
-likelihoods elsewhere in the package depend on that tail accuracy.
+The probit CDF, and the design matrices of the two probit models: the
+outcome model (x on y indicators, plus a stratum-2 indicator for methods
+that control for the design) and the response model (r on y indicators,
+plus x for the AN methods). Category 1 of y and stratum 1 are the
+reference levels. Scalar CDF values go through the C library's erfc,
+arrays through scipy's ndtr.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ArityError, InfeasibleMarginError, ParameterError
+from .errors import SingularDesignError
 
 _SQRT2 = math.sqrt(2.0)
+_RANK_RTOL = 1e-10
+_Y_TERMS = ("intercept", "y2", "y3")
 
 
 def norm_cdf(x):
@@ -26,114 +30,38 @@ def norm_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class ProbitCoefficients:
-    """Coefficients of a probit regression on a 3-category outcome.
-
-    Category 1 of y (and stratum 1, when a stratum term is present) is the
-    reference level: its effect is identically zero by omission.  ``x_effect``
-    is present only on response models that include the incomplete variable;
-    ``stratum_effect`` only on outcome models that control for the design.
-    """
-
-    intercept: float
-    y_effects: Mapping[int, float] = field(default_factory=dict)
-    x_effect: Optional[float] = None
-    stratum_effect: Optional[float] = None
-
-    def __post_init__(self):
-        bad = set(self.y_effects) - {2, 3}
-        if bad:
-            raise ParameterError(f"y_effects keyed by category in {{2,3}}, got {sorted(bad)}")
-
-    def linear_predictor(self, y, x=None, stratum=None):
-        """Evaluate the linear predictor; covariates must match the terms carried."""
-        if self.x_effect is not None and x is None:
-            raise ArityError("coefficient set carries an x effect but no x was supplied")
-        if self.x_effect is None and x is not None:
-            raise ArityError("x supplied to a coefficient set without an x effect")
-        if self.stratum_effect is not None and stratum is None:
-            raise ArityError("coefficient set carries a stratum effect but no stratum was supplied")
-        if self.stratum_effect is None and stratum is not None:
-            raise ArityError("stratum supplied to a coefficient set without a stratum effect")
-        lp = self.intercept
-        lp += self.y_effects.get(2, 0.0) * (1.0 if y == 2 else 0.0)
-        lp += self.y_effects.get(3, 0.0) * (1.0 if y == 3 else 0.0)
-        if self.x_effect is not None:
-            lp += self.x_effect * float(x)
-        if self.stratum_effect is not None:
-            lp += self.stratum_effect * (1.0 if stratum == 2 else 0.0)
-        return lp
+def _y_columns(y: np.ndarray):
+    return [np.ones(len(y)), (y == 2).astype(float), (y == 3).astype(float)]
 
 
-def probit_prob(coef: ProbitCoefficients, y, x=None, stratum=None) -> float:
-    """Success probability Phi(linear predictor) for one unit."""
-    return norm_cdf(coef.linear_predictor(y, x=x, stratum=stratum))
+def outcome_design(y: np.ndarray, stratum: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Outcome-model design and term names: intercept and y indicators, plus
+    a stratum-2 indicator when ``stratum`` is given."""
+    cols = _y_columns(y)
+    terms = _Y_TERMS
+    if stratum is not None:
+        cols.append((stratum == 2).astype(float))
+        terms += ("stratum2",)
+    return np.column_stack(cols), terms
 
 
-@dataclass(frozen=True)
-class PatternMixtureTable:
-    """Pattern-mixture parameterization of a binary (x, y, r) joint.
-
-    ``theta[(y, r)]`` is Pr(x=1 | y, r), ``pi[r]`` is Pr(y=1 | r) and ``q``
-    is Pr(r=1): seven numbers that fully parameterize the 2x2x2 joint.
-    """
-
-    theta: Mapping[tuple, float]
-    pi: Mapping[int, float]
-    q: float
-
-    def __post_init__(self):
-        vals = list(self.theta.values()) + list(self.pi.values()) + [self.q]
-        if any(not (0.0 <= v <= 1.0) for v in vals):
-            raise ParameterError("pattern-mixture entries must lie in [0, 1]")
-
-    @classmethod
-    def from_joint(cls, joint) -> "PatternMixtureTable":
-        """Exact marginalization of a full joint Pr(x, y, r) given as joint[x][y][r]."""
-        j = np.asarray(joint, dtype=float)
-        if j.shape != (2, 2, 2) or abs(j.sum() - 1.0) > 1e-9 or (j < 0).any():
-            raise ParameterError("joint must be a nonnegative 2x2x2 array summing to 1")
-        pr_r = j.sum(axis=(0, 1))
-        pr_yr = j.sum(axis=0)
-        theta = {}
-        pi = {}
-        for r in (0, 1):
-            pi[r] = pr_yr[1, r] / pr_r[r] if pr_r[r] > 0 else 0.0
-            for y in (0, 1):
-                theta[(y, r)] = j[1, y, r] / pr_yr[y, r] if pr_yr[y, r] > 0 else 0.0
-        return cls(theta=theta, pi=pi, q=float(pr_r[1]))
+def response_design(y: np.ndarray, x: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Response-model design and term names: intercept and y indicators,
+    plus the x column when ``x`` is given."""
+    cols = _y_columns(y)
+    terms = _Y_TERMS
+    if x is not None:
+        cols.append(np.asarray(x, dtype=float))
+        terms += ("x",)
+    return np.column_stack(cols), terms
 
 
-def margin_linear_constraint(margin_prob: float, table: PatternMixtureTable,
-                             observed_joint: float) -> float:
-    """Residual of the auxiliary-margin identity.
-
-    Returns [Pr(x=1) - Pr(x=1, r=0)] - q [theta_01 (1 - pi_1) + theta_11 pi_1],
-    which is zero exactly when the table is consistent with the margin.
-    """
-    for v in (margin_prob, observed_joint):
-        if not (0.0 <= v <= 1.0):
-            raise ParameterError("probabilities must lie in [0, 1]")
-    lhs = margin_prob - observed_joint
-    rhs = table.q * (table.theta[(0, 1)] * (1.0 - table.pi[1])
-                     + table.theta[(1, 1)] * table.pi[1])
-    return lhs - rhs
-
-
-def conditional_independence_theta(margin_prob: float, q: float, theta00: float,
-                                   theta10: float, pi0: float) -> float:
-    """The common nonrespondent success probability implied by the margin
-    when x is conditionally independent of y among nonrespondents.
-    """
-    for v in (margin_prob, q, theta00, theta10, pi0):
-        if not (0.0 <= v <= 1.0):
-            raise ParameterError("probabilities must lie in [0, 1]")
-    if q == 0.0:
-        raise ParameterError("q = 0: no nonrespondents, theta* undefined")
-    respondent_mass = (1.0 - q) * (theta00 * (1.0 - pi0) + theta10 * pi0)
-    theta_star = (margin_prob - respondent_mass) / q
-    if not (0.0 <= theta_star <= 1.0):
-        raise InfeasibleMarginError(
-            f"margin-implied theta* = {theta_star:.6g} outside [0, 1]")
-    return theta_star
+def full_rank_gram(design: np.ndarray) -> np.ndarray:
+    """X'X of a design, after checking that the design has full column rank."""
+    gram = design.T @ design
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] <= _RANK_RTOL * max(eig[-1], 1.0):
+        raise SingularDesignError("design matrix is rank deficient")
+    return gram

@@ -147,9 +147,11 @@ def test_criterion_8_property_suite_is_fast_and_green(rng):
     # HT resampling unbiasedness
     test_survey.test_ht_unbiasedness_over_repeated_samples()
 
-    # truncated-normal moment checks
+    # truncated-normal moments of the sampler's latent kernel, at the
+    # half-normal, 5 sd and 40 sd into the tail
     test_mcmc.test_truncated_normal_half_normal_mean(rng)
     test_mcmc.test_truncated_normal_far_tail_mills_ratio(rng)
+    test_mcmc.test_one_sided_latents_far_tail_mills_ratio(rng, -40.0, True)
 
     # probit CDF accuracy against the high-precision oracle
     test_models.test_norm_cdf_high_precision_grid()

@@ -2,16 +2,22 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 from pytest import approx
 
 import marginmi.estimators
 import marginmi.mcmc
 import marginmi.models
+from marginmi.errors import SeparationError, SingularDesignError
 from marginmi.harness import (PARAMETER_ORDER, ScenarioConfig, builtin_scenarios,
-                              emit_report, read_report_table, run_scenario,
-                              subseed)
-from marginmi.mcmc import Method, run_chain
+                              emit_report, estimands_from_chain,
+                              read_report_table, run_scenario, subseed,
+                              _run_method_task)
+from marginmi.mcmc import ChainResult, ChainSettings, Method, run_chain
+from marginmi.survey import (draw_stratified_sample, generate_population,
+                             impose_missingness)
+from conftest import make_sample
 
 
 def tiny_config(**overrides):
@@ -175,6 +181,27 @@ def test_zero_missingness_methods_equal_no_missing_row():
     for summary in report.methods.values():
         assert summary.total_mean == approx(report.no_missing_total, rel=1e-12)
         assert summary.total_se == approx(report.no_missing_se, rel=1e-12)
+
+
+def test_estimator_failure_names_the_draw():
+    pop = generate_population({1: (0.5, 0.15, 0.35), 2: (0.1, 0.45, 0.45)},
+                              (0.5, -0.5, -1.0), {1: 700, 2: 500}, seed=5)
+    sample = draw_stratified_sample(pop, {1: 80, 2: 120}, seed=6)
+    masked, _ = impose_missingness(sample, (-0.25, 0.1, 0.3, -1.1), seed=7)
+    good = masked.with_x(sample.x)
+    all_ones = masked.with_x(np.ones(sample.size))     # separated outcome fit
+    result = ChainResult(datasets=[good, all_ones, good], trace=None, draws=None)
+    with pytest.raises(SeparationError, match=r"^draw 2: "):
+        estimands_from_chain(result, Method.AN_WEIGHT, with_replacement=False)
+
+
+def test_method_task_failure_names_run_and_method():
+    no_y3 = make_sample([1, 1, 2, 2], [2.0, 2.0, 3.0, 3.0],
+                        [1, 2, 1, 2], [1.0, 0.0, np.nan, 0.0])
+    settings = ChainSettings(200, 100, 10, Method.AN_WEIGHT, 1)
+    task = (4, Method.AN_WEIGHT, no_y3, None, settings, False, None)
+    with pytest.raises(SingularDesignError, match=r"^run 4, AN\+Weight: "):
+        _run_method_task(task)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from pytest import approx
 from scipy import stats
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from marginmi.errors import ParameterError, SingularDesignError
 from marginmi.mcmc import (ChainSettings, ChainState, Method,
                            constraint_acceptance_ratio,
-                           draw_probit_coefficients, impute_missing_x,
-                           metropolis_imputation_step, run_chain,
-                           sample_truncated_normal, update_probit_coefficients,
-                           update_theta, write_chain_trace_csv,
-                           _imputation_probs, _metropolis_step, _SamplePrep)
-from marginmi.models import ProbitCoefficients, norm_cdf
+                           draw_probit_coefficients, run_chain, update_theta,
+                           write_chain_trace_csv, _imputation_probs,
+                           _metropolis_step, _one_sided_latents, _SamplePrep)
+from marginmi.models import norm_cdf, outcome_design
 from marginmi.survey import (AuxiliaryMargin, draw_stratified_sample,
                              generate_population, ht_total, impose_missingness)
 from conftest import make_sample
@@ -73,70 +72,49 @@ def test_update_theta_rejects_bad_inputs(rng):
 
 
 # ---------------------------------------------------------------------------
-# sample_truncated_normal
+# truncated-normal latents (_one_sided_latents)
 # ---------------------------------------------------------------------------
 
 def test_truncated_normal_half_normal_mean(rng):
-    draws = sample_truncated_normal(0.0, 0.0, np.inf, rng, size=100000)
-    mc_se = HALF_NORMAL_SD / math.sqrt(len(draws))
-    assert abs(draws.mean() - HALF_NORMAL_MEAN) <= 3 * mc_se
+    # at lp = 0 either side is a half-normal, so |draw| has the half-normal mean
+    n = 100000
+    positive = np.arange(n) % 2 == 0
+    draws = _one_sided_latents(np.zeros(n), positive, rng)
+    assert ((draws > 0) == positive).all()
+    mc_se = HALF_NORMAL_SD / math.sqrt(n)
+    assert abs(np.abs(draws).mean() - HALF_NORMAL_MEAN) <= 3 * mc_se
 
 
 def test_truncated_normal_unrestricted_is_normal(rng):
-    draws = sample_truncated_normal(0.0, -np.inf, np.inf, rng, size=100000)
-    ks = stats.kstest(draws, "norm").statistic
-    assert ks < 1.63 / math.sqrt(len(draws))    # 1% critical value
+    # with the response drawn from its probit law, the two truncations mix
+    # back to the untruncated N(lp, 1)
+    n, lp = 100000, 0.4
+    positive = rng.random(n) < norm_cdf(lp)
+    draws = _one_sided_latents(np.full(n, lp), positive, rng)
+    ks = stats.kstest(draws - lp, "norm").statistic
+    assert ks < 1.63 / math.sqrt(n)    # 1% critical value
 
 
 def test_truncated_normal_far_tail_mills_ratio(rng):
-    draws = sample_truncated_normal(0.0, 5.0, np.inf, rng, size=100000)
-    assert (draws > 5.0).all()
-    mc_se = TAIL5_SD / math.sqrt(len(draws))
-    assert abs(draws.mean() - MILLS_AT_5) <= 3 * mc_se
-
-
-@pytest.mark.parametrize("mean,lower,upper", [
-    (0.0, -1.0, 2.0),
-    (0.0, 1.5, 4.0),
-    (0.0, -4.0, -1.5),
-    (0.0, 4.0, 6.0),
-    (2.0, 0.0, np.inf),
-    (-1.0, -np.inf, 0.0),
-])
-def test_truncated_normal_distribution_matches_truncnorm(rng, mean, lower, upper):
-    n = 20000
-    draws = sample_truncated_normal(mean, lower, upper, rng, size=n)
-    assert (draws > lower).all() and (draws < upper).all()
-    dist = stats.truncnorm(lower - mean, upper - mean, loc=mean)
-    ks = stats.kstest(draws, dist.cdf).statistic
-    assert ks < 1.63 / math.sqrt(n)
+    # lp = -5 with a positive response: latent + 5 ~ Z | Z > 5
+    n = 100000
+    latents = _one_sided_latents(np.full(n, -5.0), np.ones(n, dtype=bool), rng)
+    assert (latents > 0.0).all()
+    mc_se = TAIL5_SD / math.sqrt(n)
+    assert abs((latents + 5.0).mean() - MILLS_AT_5) <= 3 * mc_se
 
 
 def test_truncated_normal_vector_bounds(rng):
-    z = np.array([1, 0, 1, 0, 1])
-    mean = np.linspace(-2, 2, 5)
-    draws = sample_truncated_normal(mean, np.where(z, 0.0, -np.inf),
-                                    np.where(z, np.inf, 0.0), rng)
+    z = np.array([1, 0, 1, 0, 1], dtype=bool)
+    draws = _one_sided_latents(np.linspace(-2, 2, 5), z, rng)
     assert draws.shape == (5,)
-    assert ((draws > 0) == z.astype(bool)).all()
-
-
-def test_truncated_normal_empty_interval(rng):
-    with pytest.raises(ParameterError):
-        sample_truncated_normal(0.0, 1.0, 1.0, rng)
-    with pytest.raises(ParameterError):
-        sample_truncated_normal(0.0, 2.0, -1.0, rng)
-
-
-def test_truncated_normal_scalar_output(rng):
-    v = sample_truncated_normal(0.0, 0.0, np.inf, rng)
-    assert isinstance(v, float) and v > 0
+    assert ((draws > 0) == z).all()
 
 
 @pytest.mark.parametrize("lp,positive", [(0.7, True), (0.7, False),
-                                         (-2.5, True), (3.5, False)])
+                                         (-2.5, True), (3.5, False),
+                                         (2.0, True), (-1.0, False)])
 def test_one_sided_latent_kernel_matches_truncnorm(rng, lp, positive):
-    from marginmi.mcmc import _one_sided_latents
     n = 20000
     draws = _one_sided_latents(np.full(n, lp), np.full(n, positive, dtype=bool), rng)
     assert ((draws > 0) == positive).all()
@@ -148,13 +126,50 @@ def test_one_sided_latent_kernel_matches_truncnorm(rng, lp, positive):
     assert ks < 1.63 / math.sqrt(n)
 
 
+def test_one_sided_latents_log_branch_is_the_same_quantile():
+    # the direct inverse CDF lp - sign * ndtri(u Phi(sign * lp)) stays finite
+    # down to sign * lp = -36; the kernel must reproduce it bit for bit where
+    # sign * lp >= -30 and to rounding on the log-space branch below that
+    n = 4001
+    lp = np.linspace(-36.0, 36.0, n)
+    positive = np.arange(n) % 2 == 0
+    draws = _one_sided_latents(lp, positive, np.random.default_rng(8))
+    u = 1.0 - np.random.default_rng(8).random(n)
+    sign = np.where(positive, 1.0, -1.0)
+    direct = lp - sign * ndtri(u * ndtr(sign * lp))
+    near = sign * lp >= -30.0
+    assert np.array_equal(draws[near], direct[near])
+    assert (~near).sum() > 100
+    assert draws[~near] == approx(direct[~near], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("lp", [-200.0, -40.0, 40.0, 200.0])
+def test_one_sided_latents_sign_at_extreme_predictors(rng, lp, positive):
+    n = 20000
+    draws = _one_sided_latents(np.full(n, lp), np.full(n, positive), rng)
+    assert np.isfinite(draws).all()
+    assert ((draws > 0) == positive).all()
+
+
+@pytest.mark.parametrize("lp,positive", [(-40.0, True), (40.0, False)])
+def test_one_sided_latents_far_tail_mills_ratio(rng, lp, positive):
+    # truncated 40 sd into the tail: |draw - lp| ~ Z | Z > 40, whose mean is
+    # the Mills ratio phi(40) / Phi(-40) and variance 1 + 40 m - m^2
+    a, n = 40.0, 20000
+    mills = math.exp(-0.5 * a * a - 0.5 * math.log(2 * math.pi) - log_ndtr(-a))
+    var = 1.0 + a * mills - mills * mills
+    draws = _one_sided_latents(np.full(n, lp), np.full(n, positive), rng)
+    excess = np.abs(draws - lp)
+    assert abs(excess.mean() - mills) <= 3 * math.sqrt(var / n)
+
+
 # ---------------------------------------------------------------------------
 # probit coefficient updates
 # ---------------------------------------------------------------------------
 
 def test_update_coefficients_empty_data_draws_from_prior(rng):
-    draws = np.array([update_probit_coefficients(np.empty(0), np.empty((0, 3)),
-                                                 np.zeros(3), rng)
+    draws = np.array([draw_probit_coefficients(np.empty((0, 3)), np.empty(0), rng)
                       for _ in range(20000)])
     mc_se = 1.0 / math.sqrt(len(draws))
     assert (np.abs(draws.mean(axis=0)) <= 3 * mc_se).all()
@@ -175,15 +190,18 @@ def test_coefficient_draw_has_conjugate_conditional_mean(rng):
 
 
 def test_update_coefficients_recovers_truth(rng):
+    # the sampler's two kernels alternated: latents given beta, beta given latents
     n = 5000
     truth = np.array([0.5, -0.5, -1.0])
     y = rng.choice(3, size=n, p=[0.4, 0.3, 0.3]) + 1
-    design = np.column_stack([np.ones(n), y == 2, y == 3]).astype(float)
+    design, _ = outcome_design(y)
+    xtx = design.T @ design
     z = rng.random(n) < norm_cdf(design @ truth)
     beta = np.zeros(3)
     kept = []
     for sweep in range(400):
-        beta = update_probit_coefficients(z, design, beta, rng, check_rank=False)
+        latents = _one_sided_latents(design @ beta, z, rng)
+        beta = draw_probit_coefficients(design, latents, rng, xtx=xtx)
         if sweep >= 200:
             kept.append(beta)
     kept = np.array(kept)
@@ -191,25 +209,18 @@ def test_update_coefficients_recovers_truth(rng):
     assert (np.abs(post_mean - truth) <= 3 * post_sd).all()
 
 
-def test_update_coefficients_rank_deficient_design(rng):
-    n = 50
-    col = rng.standard_normal(n)
-    design = np.column_stack([np.ones(n), col, col])
-    z = rng.random(n) < 0.5
-    with pytest.raises(SingularDesignError):
-        update_probit_coefficients(z, design, np.zeros(3), rng)
+def test_update_coefficients_rank_deficient_design():
+    # no unit has y = 3, so the y3 column of both designs is all zero
+    sample = make_sample([1, 1, 2, 2], [2.0, 2.0, 3.0, 3.0],
+                         [1, 2, 1, 2], [1.0, 0.0, np.nan, 0.0])
+    for method in Method:
+        with pytest.raises(SingularDesignError):
+            _SamplePrep(sample, method)
 
 
 # ---------------------------------------------------------------------------
 # imputation probabilities
 # ---------------------------------------------------------------------------
-
-def _coef_pair(g2):
-    outcome = ProbitCoefficients(intercept=0.5, y_effects={2: -0.5, 3: -1.0})
-    response = ProbitCoefficients(intercept=-0.25, y_effects={2: 0.1, 3: 0.3},
-                                  x_effect=g2)
-    return outcome, response
-
 
 def test_imputation_prob_reduces_to_outcome_model_when_g2_zero():
     out_vec = np.array([0.5, -0.5, -1.0])
@@ -229,35 +240,42 @@ def test_imputation_prob_hand_value():
     assert p == approx(IMPUTATION_PROB, abs=1e-12)
 
 
+def _proposal(method, y, stratum, outcome, response, n_missing, rng):
+    """Imputations from one unconstrained step for n_missing nonrespondents
+    that all share (y, stratum); the observed units span every category."""
+    sample = make_sample(stratum=[1, 1, 1, 2, 2, 2] + [stratum] * n_missing,
+                         weight=[2.0] * 3 + [3.0] * 3
+                         + [2.0 if stratum == 1 else 3.0] * n_missing,
+                         y=[1, 2, 3, 1, 2, 3] + [y] * n_missing,
+                         x=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [np.nan] * n_missing)
+    prep = _SamplePrep(sample, method)
+    state = _toy_state(prep, np.asarray(outcome, float), np.asarray(response, float))
+    _metropolis_step(state, prep, sample.x.copy(), None, method, rng)
+    return state.imputations
+
+
 def test_imputation_prob_degenerate_outcome(rng):
     out_vec = np.array([40.0, 0.0, 0.0])      # Phi(40) == 1 in doubles
     resp_vec = np.array([-0.25, 0.0, 0.0, -1.1])
     p = _imputation_probs(np.array([1]), np.array([1]), out_vec, resp_vec,
                           Method.AN_CONSTRAINT)[0]
     assert p == 1.0
-    outcome = ProbitCoefficients(intercept=40.0)
-    response = ProbitCoefficients(intercept=-0.25, x_effect=-1.1)
-    draws = [impute_missing_x((1, 1), outcome, response, Method.AN_CONSTRAINT, rng)
-             for _ in range(200)]
-    assert all(d == 1 for d in draws)
+    draws = _proposal(Method.AN_WEIGHT, 1, 1, [40.0, 0.0, 0.0, 0.0], resp_vec, 200, rng)
+    assert (draws == 1).all()
 
 
 def test_impute_missing_x_frequency_matches_probability(rng):
-    outcome, response = _coef_pair(-1.1)
     n = 20000
-    draws = np.array([impute_missing_x((1, 1), outcome, response,
-                                       Method.AN_CONSTRAINT, rng) for _ in range(n)])
+    draws = _proposal(Method.AN_WEIGHT, 1, 1, [0.5, -0.5, -1.0, 0.2],
+                      [-0.25, 0.1, 0.3, -1.1], n, rng)
     se = math.sqrt(IMPUTATION_PROB * (1 - IMPUTATION_PROB) / n)
     assert abs(draws.mean() - IMPUTATION_PROB) <= 3 * se
 
 
 def test_impute_missing_x_mar_uses_outcome_only(rng):
-    outcome = ProbitCoefficients(intercept=0.5, y_effects={2: -0.5, 3: -1.0},
-                                 stratum_effect=0.2)
-    response = ProbitCoefficients(intercept=-0.25, y_effects={2: 0.1, 3: 0.3})
     n = 20000
-    draws = np.array([impute_missing_x((2, 2), outcome, response,
-                                       Method.MAR_WEIGHT, rng) for _ in range(n)])
+    draws = _proposal(Method.MAR_WEIGHT, 2, 2, [0.5, -0.5, -1.0, 0.2],
+                      [-0.25, 0.1, 0.3], n, rng)
     g = norm_cdf(0.5 - 0.5 + 0.2)
     assert abs(draws.mean() - g) <= 3 * math.sqrt(g * (1 - g) / n)
 
@@ -303,16 +321,16 @@ def _toy_state(prep, outcome, response):
 def test_step_without_missing_values_is_identity(rng):
     sample = make_sample([1, 1, 2, 2], [2.0, 2.0, 3.0, 3.0],
                          [1, 2, 3, 1], [1.0, 0.0, 1.0, 0.0])
-    state = ChainState(theta=np.full(3, 1 / 3),
-                       outcome_coef=np.zeros(3), response_coef=np.zeros(4),
-                       imputations=np.zeros(0, dtype=np.int64),
-                       totals_by_stratum={1: 2.0, 2: 3.0})
+    prep = _SamplePrep(sample, Method.AN_CONSTRAINT)
+    state = _toy_state(prep, np.zeros(3), np.zeros(4))
+    assert state.totals_by_stratum == {1: 2.0, 2: 3.0}
+    x_filled = sample.x.copy()
     margin = AuxiliaryMargin.overall(5.0, 4.0)
-    new, flags = metropolis_imputation_step(state, sample, margin,
-                                            Method.AN_CONSTRAINT, rng)
+    flags = _metropolis_step(state, prep, x_filled, margin, Method.AN_CONSTRAINT, rng)
     assert flags.tolist() == [1.0]
-    assert np.array_equal(new.imputations, state.imputations)
-    assert new.totals_by_stratum == state.totals_by_stratum
+    assert len(state.imputations) == 0
+    assert state.totals_by_stratum == {1: 2.0, 2: 3.0}
+    assert np.array_equal(x_filled, sample.x)
 
 
 def test_step_flat_constraint_accepts_everything():
@@ -324,35 +342,11 @@ def test_step_flat_constraint_accepts_everything():
     assert result.trace.ratio() >= 0.999
 
 
-def test_public_step_matches_internal_step():
-    _, masked = small_masked_sample(seed=6)
-    prep = _SamplePrep(masked, Method.AN_CONSTRAINT)
-    margin = AuxiliaryMargin.overall(700.0, 400.0)
-    outcome = np.array([0.4, -0.3, -0.8])
-    response = np.array([-0.3, 0.1, 0.2, -1.0])
-    state_a = _toy_state(prep, outcome.copy(), response.copy())
-    state_b = state_a.copy()
-    rng_a = np.random.default_rng(33)
-    rng_b = np.random.default_rng(33)
-    new_a, flags_a = metropolis_imputation_step(state_a, masked, margin,
-                                                Method.AN_CONSTRAINT, rng_a)
-    x_filled = masked.x.copy()
-    x_filled[prep.miss] = state_b.imputations
-    flags_b = _metropolis_step(state_b, prep, x_filled, margin,
-                               Method.AN_CONSTRAINT, rng_b)
-    assert np.array_equal(flags_a, flags_b)
-    assert np.array_equal(new_a.imputations, state_b.imputations)
-    assert new_a.totals_by_stratum == approx(state_b.totals_by_stratum)
-    # the original state object is untouched by the public step
-    assert np.array_equal(state_a.imputations, np.zeros(len(prep.miss), dtype=np.int64))
-
-
-def test_step_requires_margin_for_constraint_methods(rng):
+def test_step_requires_margin_for_constraint_methods():
     _, masked = small_masked_sample(seed=7)
-    prep = _SamplePrep(masked, Method.AN_CONSTRAINT)
-    state = _toy_state(prep, np.zeros(3), np.zeros(4))
-    with pytest.raises(ParameterError):
-        metropolis_imputation_step(state, masked, None, Method.AN_CONSTRAINT, rng)
+    for method in (Method.AN_CONSTRAINT, Method.AN_CONSTRAINT_WEIGHT):
+        with pytest.raises(ParameterError):
+            run_chain(masked, None, ChainSettings(200, 100, 10, method, 1))
 
 
 def test_six_unit_chain_matches_enumerated_stationary_distribution():

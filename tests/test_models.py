@@ -1,57 +1,76 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from pytest import approx
 
-from marginmi.errors import ArityError, InfeasibleMarginError, ParameterError
-from marginmi.models import (PatternMixtureTable, ProbitCoefficients,
-                             conditional_independence_theta,
-                             margin_linear_constraint, norm_cdf, probit_prob)
+from marginmi.errors import SingularDesignError
+from marginmi.models import (full_rank_gram, norm_cdf, outcome_design,
+                             response_design)
 
 # frozen 20-digit oracle values (mpmath, dps=40)
 PHI_05 = 0.69146246127401310364
 PHI_M105 = 0.14685905637589594545
 
+Y = np.array([1, 2, 3, 1, 2, 3])
+STRATUM = np.array([1, 1, 1, 2, 2, 2])
+X = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+
+
+def test_outcome_model_coding():
+    design, terms = outcome_design(Y)
+    assert terms == ("intercept", "y2", "y3")
+    assert design.tolist() == [[1, 0, 0], [1, 1, 0], [1, 0, 1]] * 2
+    design, terms = outcome_design(Y, STRATUM)
+    assert terms == ("intercept", "y2", "y3", "stratum2")
+    assert design[:, 3].tolist() == [0, 0, 0, 1, 1, 1]
+
+
+def test_response_model_coding():
+    design, terms = response_design(Y)
+    assert terms == ("intercept", "y2", "y3")
+    assert design.shape == (6, 3)
+    design, terms = response_design(Y, X)
+    assert terms == ("intercept", "y2", "y3", "x")
+    assert design[:, 3].tolist() == X.tolist()
+
+
+def test_full_rank_gram():
+    design, _ = outcome_design(Y, STRATUM)
+    assert np.array_equal(full_rank_gram(design), design.T @ design)
+    # no unit has y = 3: the y3 column is all zero
+    with pytest.raises(SingularDesignError):
+        full_rank_gram(outcome_design(np.array([1, 2, 1, 2]))[0])
+    # x equal to the y2 indicator: two identical columns
+    with pytest.raises(SingularDesignError):
+        full_rank_gram(response_design(Y, (Y == 2).astype(float))[0])
+
+
+def _prob(design, coef, row):
+    return norm_cdf(float(design[row] @ np.asarray(coef)))
+
 
 def test_probit_prob_zero_coefficients():
-    coef = ProbitCoefficients(intercept=0.0)
-    assert probit_prob(coef, y=1) == approx(0.5, abs=1e-15)
+    outcome, _ = outcome_design(Y, STRATUM)
+    assert _prob(outcome, [0.0, 0.0, 0.0, 0.0], 0) == approx(0.5, abs=1e-15)
 
 
 def test_probit_prob_intercept_only():
-    coef = ProbitCoefficients(intercept=0.5)
-    assert probit_prob(coef, y=1) == approx(PHI_05, abs=1e-12)
+    outcome, _ = outcome_design(Y, STRATUM)
+    assert _prob(outcome, [0.5, 0.0, 0.0, 0.0], 0) == approx(PHI_05, abs=1e-12)
 
 
 def test_probit_prob_response_model_value():
-    coef = ProbitCoefficients(intercept=-0.25, y_effects={2: 0.1, 3: 0.3},
-                              x_effect=-1.1)
     # y = 3, x = 1 -> Phi(-0.25 + 0.3 - 1.1) = Phi(-1.05)
-    assert probit_prob(coef, y=3, x=1) == approx(PHI_M105, abs=1e-12)
+    response, _ = response_design(np.array([3]), np.array([1.0]))
+    assert _prob(response, [-0.25, 0.1, 0.3, -1.1], 0) == approx(PHI_M105, abs=1e-12)
 
 
 def test_probit_prob_stratum_effect():
-    coef = ProbitCoefficients(intercept=0.2, y_effects={2: -0.5, 3: -1.0},
-                              stratum_effect=0.7)
-    lp = 0.2 - 0.5 + 0.7
-    assert probit_prob(coef, y=2, stratum=2) == approx(norm_cdf(lp), abs=1e-15)
-    assert probit_prob(coef, y=2, stratum=1) == approx(norm_cdf(0.2 - 0.5), abs=1e-15)
-
-
-def test_probit_prob_arity_errors():
-    with_x = ProbitCoefficients(intercept=0.0, x_effect=1.0)
-    without_x = ProbitCoefficients(intercept=0.0)
-    with pytest.raises(ArityError):
-        probit_prob(with_x, y=1)
-    with pytest.raises(ArityError):
-        probit_prob(without_x, y=1, x=1)
-    with_s = ProbitCoefficients(intercept=0.0, stratum_effect=1.0)
-    with pytest.raises(ArityError):
-        probit_prob(with_s, y=1)
-    with pytest.raises(ArityError):
-        probit_prob(without_x, y=1, stratum=2)
+    outcome, _ = outcome_design(Y, STRATUM)
+    coef = [0.2, -0.5, -1.0, 0.7]
+    # y = 2 in stratum 2, then in stratum 1
+    assert _prob(outcome, coef, 4) == approx(norm_cdf(0.2 - 0.5 + 0.7), abs=1e-15)
+    assert _prob(outcome, coef, 1) == approx(norm_cdf(0.2 - 0.5), abs=1e-15)
 
 
 def test_norm_cdf_high_precision_grid():
@@ -70,90 +89,20 @@ def test_norm_cdf_high_precision_grid():
 
 
 def test_probit_prob_monotone_in_each_coefficient():
-    ys = (1, 2, 3)
-    base = dict(intercept=-0.3, y_effects={2: 0.2, 3: -0.4}, x_effect=0.5)
+    design, _ = response_design(Y, np.ones(6))
+    base = np.array([-0.3, 0.2, -0.4, 0.5])
+    lo = norm_cdf(design @ base)
     for delta in np.linspace(0.1, 2.0, 8):
-        lo = ProbitCoefficients(**base)
-        hi = ProbitCoefficients(intercept=base["intercept"] + delta,
-                                y_effects=base["y_effects"],
-                                x_effect=base["x_effect"])
-        for y in ys:
-            assert probit_prob(hi, y, x=1) > probit_prob(lo, y, x=1)
-        hi_x = ProbitCoefficients(intercept=base["intercept"],
-                                  y_effects=base["y_effects"],
-                                  x_effect=base["x_effect"] + delta)
-        assert probit_prob(hi_x, 1, x=1) > probit_prob(lo, 1, x=1)
-        hi_y2 = ProbitCoefficients(intercept=base["intercept"],
-                                   y_effects={2: 0.2 + delta, 3: -0.4},
-                                   x_effect=base["x_effect"])
-        assert probit_prob(hi_y2, 2, x=0) > probit_prob(lo, 2, x=0)
+        for j in range(4):
+            hi = norm_cdf(design @ (base + delta * (np.arange(4) == j)))
+            moved = design[:, j] != 0
+            assert (hi[moved] > lo[moved]).all()
+            assert (hi[~moved] == lo[~moved]).all()
 
 
 @given(st.floats(-4, 4), st.floats(-4, 4), st.floats(-4, 4), st.floats(-4, 4),
-       st.sampled_from([1, 2, 3]), st.sampled_from([0, 1]))
+       st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 1.0]))
 def test_probit_prob_negation_symmetry(b0, b2, b3, bx, y, x):
-    coef = ProbitCoefficients(intercept=b0, y_effects={2: b2, 3: b3}, x_effect=bx)
-    neg = ProbitCoefficients(intercept=-b0, y_effects={2: -b2, 3: -b3}, x_effect=-bx)
-    assert probit_prob(coef, y, x=x) == approx(1.0 - probit_prob(neg, y, x=x), abs=1e-12)
-
-
-def test_margin_constraint_direct_evaluation():
-    # q [theta01 (1-pi1) + theta11 pi1] = 0.3 * 0.3 = 0.09
-    table = PatternMixtureTable(theta={(0, 0): 0.3, (1, 0): 0.5, (0, 1): 0.2, (1, 1): 0.4},
-                                pi={0: 0.5, 1: 0.5}, q=0.3)
-    assert margin_linear_constraint(0.40, table, 0.31) == approx(0.0, abs=1e-15)
-
-
-def test_margin_constraint_no_nonresponse():
-    table = PatternMixtureTable(theta={(0, 0): 0.3, (1, 0): 0.5, (0, 1): 0.2, (1, 1): 0.4},
-                                pi={0: 0.5, 1: 0.5}, q=0.0)
-    assert margin_linear_constraint(0.45, table, 0.31) == approx(0.45 - 0.31, abs=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8))
-def test_margin_constraint_zero_for_any_exact_marginalization(cells):
-    joint = np.array(cells).reshape(2, 2, 2)
-    joint = joint / joint.sum()
-    table = PatternMixtureTable.from_joint(joint)
-    margin_prob = joint[1].sum()                       # Pr(x = 1)
-    observed_joint = joint[1, :, 0].sum()              # Pr(x = 1, r = 0)
-    resid = margin_linear_constraint(margin_prob, table, observed_joint)
-    assert resid == approx(0.0, abs=1e-12)
-
-
-def test_margin_constraint_domain_check():
-    table = PatternMixtureTable(theta={(0, 0): 0.3, (1, 0): 0.5, (0, 1): 0.2, (1, 1): 0.4},
-                                pi={0: 0.5, 1: 0.5}, q=0.3)
-    with pytest.raises(ParameterError):
-        margin_linear_constraint(1.3, table, 0.2)
-
-
-def test_pattern_mixture_table_rejects_bad_entries():
-    with pytest.raises(ParameterError):
-        PatternMixtureTable(theta={(0, 0): 1.2, (1, 0): 0.5, (0, 1): 0.2, (1, 1): 0.4},
-                            pi={0: 0.5, 1: 0.5}, q=0.3)
-
-
-def test_conditional_independence_theta_symmetric():
-    assert conditional_independence_theta(0.5, 0.5, 0.4, 0.6, 0.5) == approx(0.5, abs=1e-15)
-
-
-def test_conditional_independence_theta_mcar_table():
-    p = 0.37
-    assert conditional_independence_theta(p, 0.25, p, p, 0.6) == approx(p, abs=1e-12)
-
-
-def test_conditional_independence_theta_hand_value():
-    # (0.3 - 0.8 * 0.29) / 0.2 = 0.34
-    got = conditional_independence_theta(0.3, 0.2, 0.25, 0.35, 0.4)
-    assert got == approx(0.34, abs=1e-15)
-
-
-def test_conditional_independence_theta_errors():
-    with pytest.raises(ParameterError):
-        conditional_independence_theta(0.3, 0.0, 0.25, 0.35, 0.4)
-    with pytest.raises(InfeasibleMarginError):
-        conditional_independence_theta(0.9, 0.1, 0.1, 0.1, 0.4)
-    with pytest.raises(InfeasibleMarginError):
-        conditional_independence_theta(0.01, 0.1, 0.6, 0.6, 0.4)
+    design, _ = response_design(np.array([y]), np.array([x]))
+    lp = float(design[0] @ np.array([b0, b2, b3, bx]))
+    assert norm_cdf(lp) == approx(1.0 - norm_cdf(-lp), abs=1e-12)
