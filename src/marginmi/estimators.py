@@ -82,6 +82,36 @@ class MIEstimate:
 # ---------------------------------------------------------------------------
 # Probit fitting
 # ---------------------------------------------------------------------------
+#
+# Every variable is categorical, so a probit fit depends on a completed
+# sample only through the unit counts of its distinct (stratum, y, x) or
+# (y, x, r) cells. Both fits collapse the sample into that cell table and run
+# Newton, the rank check and the variance formulas over at most a dozen rows,
+# each weighted by the number of units it stands for.
+
+def _y_code(y: np.ndarray) -> np.ndarray:
+    """0, 1, 2 for the design's y = 1 (reference), y = 2 and y = 3 columns."""
+    return (y == 2) + 2 * (y == 3)
+
+
+def _cells(columns, levels):
+    """Nonempty cells of small integer columns and their unit counts.
+
+    Column k takes values in range(levels[k]). Returns one array per column
+    holding each nonempty cell's value, and the float unit count per cell.
+    """
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, size in zip(columns, levels):
+        code = code * size + col
+    counts = np.bincount(code, minlength=math.prod(levels))
+    present = np.nonzero(counts)[0]
+    n_c = counts[present].astype(float)
+    values = []
+    for size in reversed(levels):
+        values.append(present % size)
+        present = present // size
+    return values[::-1], n_c
+
 
 def _loglik(beta, design, z, w):
     lp = design @ beta
@@ -89,7 +119,7 @@ def _loglik(beta, design, z, w):
 
 
 def _score_factors(beta, design, z):
-    """Per-unit gradient factor s_i and linear predictor."""
+    """Per-row gradient factor s and linear predictor."""
     lp = design @ beta
     log_phi = -0.5 * lp * lp - _LOG_SQRT_2PI
     lam1 = np.exp(log_phi - log_ndtr(lp))       # pdf / cdf
@@ -100,7 +130,11 @@ def _score_factors(beta, design, z):
 
 
 def _newton_probit(design, z, w):
-    """Damped Newton (Fisher scoring) on the weighted probit log-likelihood."""
+    """Damped Newton (Fisher scoring) on the weighted probit log-likelihood.
+
+    Row i of ``design`` is a cell with response ``z[i]`` and total weight
+    ``w[i]`` (its unit count times the units' common weight).
+    """
     n, p = design.shape
     if z.all() or not z.any():
         raise SeparationError("all responses identical; coefficients not estimable")
@@ -144,28 +178,36 @@ def weighted_probit_fit(sample: SurveySample, stratum_term: bool = False,
     Point estimates solve the weighted score equations; variance is the
     linearization sandwich with stratum-centered score contributions, the
     n_s/(n_s - 1) factor, and the finite population correction (dropped when
-    ``with_replacement`` is set).
+    ``with_replacement`` is set). The fit runs on the (stratum, y, x) cells,
+    each weighted by w_s times its unit count.
     """
     if not sample.is_complete:
         raise CompletenessError("weighted probit fit needs completed data")
-    design, terms = outcome_design(sample.y, sample.stratum if stratum_term else None)
-    full_rank_gram(design)
-    z = sample.x > 0.5
-    beta, info, converged, iters = _newton_probit(design, z, sample.weight)
+    labels, first, s_idx = np.unique(sample.stratum, return_index=True,
+                                     return_inverse=True)
+    (s_c, y_c, x_c), n_c = _cells((s_idx, _y_code(sample.y), sample.x > 0.5),
+                                  (len(labels), 3, 2))
+    stratum_c = labels[s_c]
+    design, terms = outcome_design(y_c + 1, stratum_c if stratum_term else None)
+    full_rank_gram(design, n_c)
+    z = x_c == 1
+    w_c = sample.weight[first][s_c]                  # weights are constant per stratum
+    beta, info, converged, iters = _newton_probit(design, z, w_c * n_c)
 
     _, s, _ = _score_factors(beta, design, z)
-    u = design * (sample.weight * s)[:, None]       # per-unit weighted score rows
+    u = design * (w_c * s)[:, None]       # weighted score row of each unit in the cell
     v_score = np.zeros((design.shape[1], design.shape[1]))
     for st in sorted(sample.stratum_draws):
-        rows = u[sample.stratum == st]
-        n_s = rows.shape[0]
+        in_s = stratum_c == st
+        n, rows = n_c[in_s], u[in_s]
+        n_s = n.sum()
         if n_s < 2:
             raise DesignError(f"stratum {st} has n_s < 2; variance undefined")
-        centered = rows - rows.mean(axis=0)
+        centered = rows - (n @ rows) / n_s
         fpc = 1.0
         if not with_replacement:
             fpc = 1.0 - n_s / sample.stratum_population_size(st)
-        v_score += fpc * (n_s / (n_s - 1.0)) * centered.T @ centered
+        v_score += fpc * (n_s / (n_s - 1.0)) * centered.T @ (centered * n[:, None])
     info_inv = np.linalg.inv(info)
     cov = info_inv @ v_score @ info_inv
     se = np.sqrt(np.diag(cov))
@@ -177,16 +219,23 @@ def unweighted_probit_fit(sample: SurveySample, x_term: bool = True) -> FitResul
     """ML probit of the nonresponse indicator on y indicators (and x for AN).
 
     Standard errors come from the inverse observed information at the MLE.
+    The fit runs on the (y, x, r) cells, or (y, r) without the x term, each
+    weighted by its unit count.
     """
     if x_term and not sample.is_complete:
         raise CompletenessError("response-model fit with an x term needs completed data")
-    design, terms = response_design(sample.y, sample.x if x_term else None)
-    full_rank_gram(design)
-    z = sample.r == 1
-    w = np.ones(sample.size)
-    beta, _, converged, iters = _newton_probit(design, z, w)
+    if x_term:
+        (y_c, x_c, r_c), n_c = _cells(
+            (_y_code(sample.y), sample.x > 0.5, sample.r == 1), (3, 2, 2))
+    else:
+        (y_c, r_c), n_c = _cells((_y_code(sample.y), sample.r == 1), (3, 2))
+        x_c = None
+    design, terms = response_design(y_c + 1, x_c)
+    full_rank_gram(design, n_c)
+    z = r_c == 1
+    beta, _, converged, iters = _newton_probit(design, z, n_c)
     lp, s, _ = _score_factors(beta, design, z)
-    obs_w = s * (s + lp)                            # -d2/deta2 of the loglik
+    obs_w = n_c * s * (s + lp)                      # -d2/deta2 of the loglik
     obs_info = design.T @ (design * obs_w[:, None])
     se = np.sqrt(np.diag(np.linalg.inv(obs_info)))
     return FitResult(terms=terms, coefficients=beta, standard_errors=se,

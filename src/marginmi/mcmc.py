@@ -176,18 +176,22 @@ def update_theta(y_counts, prior, rng) -> np.ndarray:
     return rng.dirichlet(prior + counts)
 
 
+def posterior_cholesky(xtx: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the coefficient posterior precision I + X'X."""
+    return np.linalg.cholesky(xtx + np.eye(xtx.shape[0]))
+
+
 def draw_probit_coefficients(design: np.ndarray, latents: np.ndarray, rng,
-                             xtx: Optional[np.ndarray] = None) -> np.ndarray:
+                             chol: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact normal full-conditional draw given latent utilities.
 
     Standard normal prior on every coefficient: posterior precision
-    I + X'X, posterior mean (I + X'X)^{-1} X'u.
+    I + X'X, posterior mean (I + X'X)^{-1} X'u. ``chol`` is the precision's
+    Cholesky factor when the design is fixed across calls.
     """
     p = design.shape[1]
-    if xtx is None:
-        xtx = design.T @ design
-    prec = xtx + np.eye(p)
-    chol = np.linalg.cholesky(prec)
+    if chol is None:
+        chol = posterior_cholesky(design.T @ design)
     xtu = design.T @ latents
     mean = np.linalg.solve(chol.T, np.linalg.solve(chol, xtu))
     z = rng.standard_normal(p)
@@ -263,17 +267,20 @@ class _SamplePrep:
 
         self.outcome_design, self.outcome_terms = outcome_design(
             self.y, self.stratum if method.outcome_has_stratum else None)
-        self.outcome_xtx = full_rank_gram(self.outcome_design)
+        self.outcome_chol = posterior_cholesky(full_rank_gram(self.outcome_design))
         # the x column of an AN response design is refilled every iteration;
-        # only the fixed y columns are rank-checked here
+        # only the fixed y columns are rank-checked here, and only the MAR
+        # design's posterior precision is fixed
         self.response_design, self.response_terms = response_design(
             self.y, sample.x if method.response_has_x else None)
-        self.response_base_xtx = full_rank_gram(self.response_design[:, :3])
+        base_xtx = full_rank_gram(self.response_design[:, :3])
+        self.response_chol = None if method.response_has_x else posterior_cholesky(base_xtx)
+        self.sel_by_stratum = {s: np.nonzero(self.stratum == s)[0] for s in self.strata}
+        self.w_by_stratum = {s: self.weight[sel] for s, sel in self.sel_by_stratum.items()}
 
     def totals_from(self, x_filled: np.ndarray) -> Dict[int, float]:
-        return {s: float(np.dot(self.weight[self.stratum == s],
-                                x_filled[self.stratum == s]))
-                for s in self.strata}
+        return {s: float(np.dot(self.w_by_stratum[s], x_filled[sel]))
+                for s, sel in self.sel_by_stratum.items()}
 
 
 def _margin_blocks(margin: Optional[AuxiliaryMargin], prep: _SamplePrep):
@@ -363,9 +370,16 @@ def _initial_state(prep: _SamplePrep, method: Method, rng) -> ChainState:
                       totals_by_stratum=prep.totals_from(x_filled))
 
 
-def _low_acceptance_windows(indicators: np.ndarray, blocks=None, window: int = 500,
-                            threshold: float = 0.1) -> List[str]:
+def _low_acceptance_windows(indicators: np.ndarray, blocks=None, burn_in: int = 0,
+                            window: int = 500, threshold: float = 0.1) -> List[str]:
+    """Warnings for blocks whose acceptance falls below ``threshold`` over some
+    ``window`` consecutive post-burn-in iterations.
+
+    Burn-in is skipped: the chain starts from the observed-respondent mean,
+    far from the margin, and rejects a lot while it converges.
+    """
     warnings = []
+    indicators = indicators[burn_in:]
     n, n_blocks = indicators.shape
     if blocks is None:
         blocks = tuple(range(n_blocks))
@@ -429,15 +443,15 @@ def run_chain(sample: SurveySample, margin: Optional[AuxiliaryMargin],
         lp = prep.outcome_design @ state.outcome_coef
         latents = _one_sided_latents(lp, x_filled > 0.5, rng)
         state.outcome_coef = draw_probit_coefficients(
-            prep.outcome_design, latents, rng, xtx=prep.outcome_xtx)
+            prep.outcome_design, latents, rng, chol=prep.outcome_chol)
 
         # response model: r on y indicators (+ completed x for AN methods)
         if method.response_has_x:
             resp_design[:, 3] = x_filled
         lp = resp_design @ state.response_coef
         latents = _one_sided_latents(lp, r_positive, rng)
-        xtx = None if method.response_has_x else prep.response_base_xtx
-        state.response_coef = draw_probit_coefficients(resp_design, latents, rng, xtx=xtx)
+        state.response_coef = draw_probit_coefficients(resp_design, latents, rng,
+                                                       chol=prep.response_chol)
 
         if t > settings.burn_in and (t - settings.burn_in) % settings.thin == 0:
             datasets.append(sample.with_x(x_filled))
@@ -453,7 +467,8 @@ def run_chain(sample: SurveySample, margin: Optional[AuxiliaryMargin],
 
     warnings: Tuple[str, ...] = ()
     if method.uses_constraint:
-        warnings = tuple(_low_acceptance_windows(indicators, block_labels))
+        warnings = tuple(_low_acceptance_windows(indicators, block_labels,
+                                                 burn_in=settings.burn_in))
     trace = AcceptanceTrace(indicators=indicators, blocks=block_labels,
                             burn_in=settings.burn_in, warnings=warnings)
     draws = ParameterDraws(theta=theta_draws, outcome=outcome_draws,

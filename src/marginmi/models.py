@@ -58,9 +58,15 @@ def response_design(y: np.ndarray, x: Optional[np.ndarray] = None
     return np.column_stack(cols), terms
 
 
-def full_rank_gram(design: np.ndarray) -> np.ndarray:
-    """X'X of a design, after checking that the design has full column rank."""
-    gram = design.T @ design
+def full_rank_gram(design: np.ndarray, counts: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+    """X'X of a design, after checking that the design has full column rank.
+
+    With ``counts``, row c of ``design`` stands for ``counts[c]`` identical
+    units and the result is the unit-level Gram sum_c counts[c] x_c x_c'.
+    Its entries are integer sums, so it equals the unit design's X'X exactly.
+    """
+    gram = design.T @ (design if counts is None else design * counts[:, None])
     eig = np.linalg.eigvalsh(gram)
     if eig[0] <= _RANK_RTOL * max(eig[-1], 1.0):
         raise SingularDesignError("design matrix is rank deficient")

@@ -393,14 +393,24 @@ def margin_from_population(pop: StratifiedPopulation, draws: Mapping[int, int],
 # ---------------------------------------------------------------------------
 
 def write_sample_csv(sample: SurveySample, path) -> None:
+    """Write the sample in the CSV layout above, rows in sample order.
+
+    The weight is constant within a stratum, so every row is one of the few
+    distinct (stratum, y, x, r) lines; each is formatted once, as
+    ``csv.writer`` would (no field needs quoting), and indexed per row.
+    """
+    x_code = np.where(np.isnan(sample.x), 2, sample.x).astype(np.int64)
+    code = np.zeros(sample.size, dtype=np.int64)
+    for col in (sample.stratum, sample.y, x_code, sample.r):
+        values, inverse = np.unique(col, return_inverse=True)
+        code = code * len(values) + inverse
+    _, first, row_line = np.unique(code, return_index=True, return_inverse=True)
+    lines = [f"{int(sample.stratum[i])},{float(sample.weight[i])!r},{int(sample.y[i])},"
+             f"{'' if x_code[i] == 2 else x_code[i]},{int(sample.r[i])}\r\n"
+             for i in first]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for i in range(sample.size):
-            x = sample.x[i]
-            writer.writerow([int(sample.stratum[i]), repr(float(sample.weight[i])),
-                             int(sample.y[i]), "" if np.isnan(x) else int(x),
-                             int(sample.r[i])])
+        fh.write(",".join(_CSV_COLUMNS) + "\r\n")
+        fh.write("".join([lines[k] for k in row_line.tolist()]))
 
 
 def write_population_csv(pop: StratifiedPopulation, path) -> None:

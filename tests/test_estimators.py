@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 from scipy import optimize, stats
 
+from marginmi import estimators
 from marginmi.errors import (CompletenessError, DesignError, ParameterError,
-                             SeparationError)
+                             SeparationError, SingularDesignError)
 from marginmi.estimators import (FitResult, MIEstimate, aggregate_runs,
                                  ht_with_se, rubin_combine,
                                  unweighted_probit_fit, weighted_probit_fit)
-from marginmi.models import norm_cdf
+from marginmi.models import full_rank_gram, norm_cdf, outcome_design, response_design
 from marginmi.survey import (draw_stratified_sample, generate_population,
                              population_total, theoretical_margin_variance)
 from conftest import make_sample
@@ -159,6 +160,219 @@ def test_unweighted_fit_all_one_responses_is_separation():
                          r=np.ones(n, int))
     with pytest.raises(SeparationError):
         unweighted_probit_fit(sample, x_term=True)
+
+
+# ---------------------------------------------------------------------------
+# cell-table fits against a unit-level oracle
+# ---------------------------------------------------------------------------
+#
+# The oracle is the unit-level fit the estimators ran before they moved to
+# cell counts: the same damped Newton over every unit's design row, the
+# stratum-centered sandwich over every unit's score row, and the observed
+# information summed unit by unit.
+
+def _unit_score_factors(beta, design, z):
+    lp = design @ beta
+    lam1 = stats.norm.pdf(lp) / stats.norm.cdf(lp)
+    lam0 = stats.norm.pdf(lp) / stats.norm.sf(lp)
+    return lp, np.where(z, lam1, -lam0), lam1 * lam0
+
+
+def _unit_loglik(beta, design, z, w):
+    lp = design @ beta
+    return float(np.dot(w, np.where(z, stats.norm.logcdf(lp), stats.norm.logsf(lp))))
+
+
+def _unit_newton(design, z, w):
+    if z.all() or not z.any():
+        raise SeparationError("all responses identical")
+    beta = np.zeros(design.shape[1])
+    ll = _unit_loglik(beta, design, z, w)
+    for it in range(1, estimators._MAX_NEWTON + 1):
+        _, s, omega = _unit_score_factors(beta, design, z)
+        score = design.T @ (w * s)
+        info = design.T @ (design * (w * omega)[:, None])
+        if np.abs(score).max() < estimators._SCORE_TOL:
+            return beta, info, it - 1
+        step = np.linalg.solve(info, score)
+        slack = 1e-9 * (1.0 + abs(ll))
+        scale = 1.0
+        for _ in range(estimators._MAX_HALVINGS):
+            if _unit_loglik(beta + scale * step, design, z, w) >= ll - slack:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        ll = _unit_loglik(beta, design, z, w)
+        if np.linalg.norm(beta) > estimators._SEPARATION_NORM:
+            raise SeparationError("coefficient norm diverged")
+    raise AssertionError("oracle did not converge")
+
+
+def _unit_weighted_fit(sample, stratum_term, with_replacement):
+    design, _ = outcome_design(sample.y, sample.stratum if stratum_term else None)
+    full_rank_gram(design)
+    z = sample.x > 0.5
+    beta, info, iters = _unit_newton(design, z, sample.weight)
+    _, s, _ = _unit_score_factors(beta, design, z)
+    u = design * (sample.weight * s)[:, None]
+    v_score = np.zeros((design.shape[1],) * 2)
+    for st in sorted(sample.stratum_draws):
+        rows = u[sample.stratum == st]
+        n_s = rows.shape[0]
+        if n_s < 2:
+            raise DesignError(f"stratum {st} has n_s < 2")
+        centered = rows - rows.mean(axis=0)
+        fpc = 1.0 if with_replacement else 1.0 - n_s / sample.stratum_population_size(st)
+        v_score += fpc * (n_s / (n_s - 1.0)) * centered.T @ centered
+    info_inv = np.linalg.inv(info)
+    return beta, np.sqrt(np.diag(info_inv @ v_score @ info_inv)), iters
+
+
+def _unit_response_fit(sample, x_term):
+    design, _ = response_design(sample.y, sample.x if x_term else None)
+    full_rank_gram(design)
+    z = sample.r == 1
+    beta, _, iters = _unit_newton(design, z, np.ones(sample.size))
+    lp, s, _ = _unit_score_factors(beta, design, z)
+    obs_info = design.T @ (design * (s * (s + lp))[:, None])
+    return beta, np.sqrt(np.diag(np.linalg.inv(obs_info))), iters
+
+
+def _completed_sample(seed, n_strata, empty_cell):
+    """A completed stratified sample; ``empty_cell`` fixes x in one
+    (stratum, y) group, which leaves its other (stratum, y, x) cell empty."""
+    rng = np.random.default_rng(seed)
+    cols = {"stratum": [], "weight": [], "y": [], "x": [], "r": []}
+    for st in range(1, n_strata + 1):
+        n_s = int(rng.integers(30, 400))
+        big_n = n_s * int(rng.integers(2, 20)) + int(rng.integers(0, n_s))
+        y = rng.choice(3, size=n_s, p=rng.dirichlet([4.0, 4.0, 4.0])) + 1
+        lp = rng.normal(0.0, 0.7) + rng.normal(0.0, 0.7, 3)[y - 1]
+        x = (rng.random(n_s) < norm_cdf(lp)).astype(float)
+        r_lp = rng.normal(-0.5, 0.5) + rng.normal(0.0, 0.5, 3)[y - 1] + rng.normal(0.0, 0.5) * x
+        r = (rng.random(n_s) < norm_cdf(r_lp)).astype(int)
+        for key, col in (("stratum", np.full(n_s, st)), ("weight", np.full(n_s, big_n / n_s)),
+                         ("y", y), ("x", x), ("r", r)):
+            cols[key].append(col)
+    sample = {k: np.concatenate(v) for k, v in cols.items()}
+    if empty_cell:
+        group = (sample["stratum"] == rng.integers(1, n_strata + 1)) & (
+            sample["y"] == rng.integers(1, 4))
+        sample["x"][group] = float(rng.integers(0, 2))
+    order = rng.permutation(len(sample["y"]))
+    return make_sample(*(sample[k][order] for k in ("stratum", "weight", "y", "x")),
+                       r=sample["r"][order])
+
+
+def _outcome(fn, *args, **kwargs):
+    """(coefficients, SEs, iterations) of a fit, or the error class it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SeparationError, SingularDesignError, DesignError) as exc:
+        return type(exc)
+
+
+def _assert_fits_equal(fit, oracle):
+    if isinstance(oracle, type):
+        assert fit is oracle
+        return
+    beta, se, iters = oracle
+    coef, fit_se, fit_iters = fit
+    assert fit_iters == iters
+    assert np.abs(coef - beta).max() <= 1e-10 * np.abs(beta).max()
+    assert (np.abs(fit_se - se) <= 1e-10 * se).all()
+
+
+def _cell_fit(fn, *args, **kwargs):
+    fit = fn(*args, **kwargs)
+    return fit.coefficients, fit.standard_errors, fit.iterations_used
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.booleans(),
+       st.booleans(), st.booleans(), st.booleans())
+def test_cell_fits_match_unit_level_oracle(seed, n_strata, empty_cell, stratum_term,
+                                           with_replacement, x_term):
+    sample = _completed_sample(seed, n_strata, empty_cell)
+    _assert_fits_equal(
+        _outcome(_cell_fit, weighted_probit_fit, sample, stratum_term=stratum_term,
+                 with_replacement=with_replacement),
+        _outcome(_unit_weighted_fit, sample, stratum_term, with_replacement))
+    _assert_fits_equal(
+        _outcome(_cell_fit, unweighted_probit_fit, sample, x_term=x_term),
+        _outcome(_unit_response_fit, sample, x_term))
+
+
+def test_cell_fits_match_oracle_on_scenario_samples():
+    # scenario-sized samples: two strata of 1500 / 3500 units
+    for seed in range(3):
+        pop = generate_population(THETA, ALPHA, {1: 35000, 2: 15000}, seed=300 + seed)
+        sample = draw_stratified_sample(pop, {1: 1500, 2: 3500}, seed=400 + seed)
+        rng = np.random.default_rng(seed)
+        sample = make_sample(sample.stratum, sample.weight, sample.y, sample.x,
+                             r=(rng.random(sample.size) < 0.3).astype(int))
+        for stratum_term in (False, True):
+            _assert_fits_equal(
+                _cell_fit(weighted_probit_fit, sample, stratum_term=stratum_term),
+                _unit_weighted_fit(sample, stratum_term, False))
+        _assert_fits_equal(_cell_fit(unweighted_probit_fit, sample, x_term=True),
+                           _unit_response_fit(sample, True))
+
+
+def _edge_sample(n=120):
+    # two strata of 60, every (stratum, y, x) cell filled
+    stratum = np.repeat([1, 2], n // 2)
+    y = np.resize([1, 2, 3], n)
+    x = np.resize([0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0], n)
+    r = np.resize([0, 1, 1, 0, 0], n)
+    return stratum, np.where(stratum == 1, 5.0, 3.0), y, x, r
+
+
+def _edge_cases():
+    stratum, weight, y, x, r = _edge_sample()
+    no_y3 = np.where(y == 3, 1, y)
+    yield "no y = 3", make_sample(stratum, weight, no_y3, x, r=r), SingularDesignError
+    yield ("all x equal", make_sample(stratum, weight, y, np.ones_like(x), r=r),
+           SeparationError)
+    lone = np.where(np.arange(len(y)) == 0, 3, stratum)
+    weight = np.where(lone == 3, 4.0, weight)
+    yield "one-unit stratum", make_sample(lone, weight, y, x, r=r), DesignError
+
+
+@pytest.mark.parametrize("case", list(_edge_cases()), ids=lambda c: c[0])
+def test_weighted_fit_edge_errors_match_oracle(case):
+    _, sample, error = case
+    assert _outcome(_unit_weighted_fit, sample, False, False) is error
+    with pytest.raises(error):
+        weighted_probit_fit(sample)
+
+
+def test_response_fit_edge_errors_match_oracle():
+    stratum, weight, y, x, r = _edge_sample()
+    no_y3 = make_sample(stratum, weight, np.where(y == 3, 2, y), x, r=r)
+    assert _outcome(_unit_response_fit, no_y3, True) is SingularDesignError
+    with pytest.raises(SingularDesignError):
+        unweighted_probit_fit(no_y3, x_term=True)
+    same_r = make_sample(stratum, weight, y, x, r=np.zeros_like(r))
+    assert _outcome(_unit_response_fit, same_r, False) is SeparationError
+    with pytest.raises(SeparationError):
+        unweighted_probit_fit(same_r, x_term=False)
+
+
+def test_quasi_separated_cell_fits_match_oracle():
+    # x = 1 for every y = 3 unit, r = 1 for every y = 3 unit. Neither the cell
+    # fits nor the unit fits flag this: the score falls below its tolerance
+    # near y3 = 7, long before the coefficient norm reaches its bound.
+    stratum, weight, y, x, r = _edge_sample()
+    for stratum_term in (False, True):
+        sample = make_sample(stratum, weight, y, np.where(y == 3, 1.0, x), r=r)
+        _assert_fits_equal(
+            _cell_fit(weighted_probit_fit, sample, stratum_term=stratum_term),
+            _unit_weighted_fit(sample, stratum_term, False))
+    for x_term in (False, True):
+        sample = make_sample(stratum, weight, y, x, r=np.where(y == 3, 1, r))
+        _assert_fits_equal(_cell_fit(unweighted_probit_fit, sample, x_term=x_term),
+                           _unit_response_fit(sample, x_term))
 
 
 # ---------------------------------------------------------------------------

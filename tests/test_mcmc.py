@@ -11,7 +11,8 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from marginmi.errors import ParameterError, SingularDesignError
 from marginmi.mcmc import (ChainSettings, ChainState, Method,
                            constraint_acceptance_ratio,
-                           draw_probit_coefficients, run_chain, update_theta,
+                           draw_probit_coefficients, posterior_cholesky,
+                           run_chain, update_theta,
                            write_chain_trace_csv, _imputation_probs,
                            _metropolis_step, _one_sided_latents, _SamplePrep)
 from marginmi.models import norm_cdf, outcome_design
@@ -195,13 +196,13 @@ def test_update_coefficients_recovers_truth(rng):
     truth = np.array([0.5, -0.5, -1.0])
     y = rng.choice(3, size=n, p=[0.4, 0.3, 0.3]) + 1
     design, _ = outcome_design(y)
-    xtx = design.T @ design
+    chol = posterior_cholesky(design.T @ design)
     z = rng.random(n) < norm_cdf(design @ truth)
     beta = np.zeros(3)
     kept = []
     for sweep in range(400):
         latents = _one_sided_latents(design @ beta, z, rng)
-        beta = draw_probit_coefficients(design, latents, rng, xtx=xtx)
+        beta = draw_probit_coefficients(design, latents, rng, chol=chol)
         if sweep >= 200:
             kept.append(beta)
     kept = np.array(kept)
@@ -497,6 +498,19 @@ def test_low_acceptance_window_scanner():
     stuck[300:850, 1] = 0.0
     found = _low_acceptance_windows(stuck)
     assert len(found) == 1 and "acceptance ratio" in found[0]
+
+
+def test_low_acceptance_scan_skips_burn_in():
+    from marginmi.mcmc import _low_acceptance_windows
+    # a chain converging from its start: nothing accepted during burn-in
+    settling = np.ones((1200, 2))
+    settling[:600] = 0.0
+    assert _low_acceptance_windows(settling, burn_in=600) == []
+    # too few post-burn-in rows for one window: no scan at all
+    assert _low_acceptance_windows(np.zeros((900, 1)), burn_in=600) == []
+    stuck = settling.copy()
+    stuck[650:1150, 0] = 0.0
+    assert len(_low_acceptance_windows(stuck, burn_in=600)) == 1
 
 
 def test_run_chain_low_acceptance_warning():

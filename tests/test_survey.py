@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import os
@@ -283,6 +284,32 @@ def test_sample_csv_round_trip(tmp_path):
     obs = ~np.isnan(masked.x)
     assert np.array_equal(back.x[obs], masked.x[obs])
     assert back.stratum_draws == masked.stratum_draws
+
+
+def test_sample_csv_bytes_match_csv_writer(tmp_path):
+    # the writer's reference: one csv.writer row per unit
+    def reference(sample, path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["stratum", "weight", "y", "x", "r"])
+            for i in range(sample.size):
+                x = sample.x[i]
+                writer.writerow([int(sample.stratum[i]), repr(float(sample.weight[i])),
+                                 int(sample.y[i]), "" if np.isnan(x) else int(x),
+                                 int(sample.r[i])])
+
+    _, sample = _scenario_sample()
+    masked, _ = impose_missingness(sample, GAMMA, seed=3)
+    rng = np.random.default_rng(5)
+    stratum = rng.choice([7, -2, 30], size=600)
+    weight = np.select([stratum == 7, stratum == -2], [7000 / 3, 0.1], 1e-7)
+    x = rng.choice([0.0, 1.0, np.nan], size=600)
+    odd = make_sample(stratum, weight, rng.integers(1, 4, 600), x,
+                      r=np.where(np.isnan(x), 1, rng.integers(0, 2, 600)))
+    for case in (sample, masked, odd):
+        write_sample_csv(case, tmp_path / "fast.csv")
+        reference(case, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_population_csv_round_trip(tmp_path):
