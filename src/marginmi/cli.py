@@ -77,13 +77,20 @@ def _write_manifest(out_dir: str, command_line, config_payload: dict,
         fh.write("\n")
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _resolve_scenario(token: str) -> ScenarioConfig:
     scenarios = builtin_scenarios()
     if token in scenarios:
         return scenarios[token]
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as fh:
-            return ScenarioConfig.from_json_dict(json.load(fh))
+        return ScenarioConfig.from_json_dict(_read_json(token))
     raise SchemaError(f"unknown scenario id or config path: {token!r}; "
                       f"known ids: {', '.join(sorted(scenarios))}")
 
@@ -134,9 +141,9 @@ def cmd_simulate(args, argv) -> int:
 
 
 def _impute_settings(args) -> ChainSettings:
-    return ChainSettings(iterations=args.iterations or 10000,
+    return ChainSettings(iterations=args.iterations if args.iterations is not None else 10000,
                          burn_in=args.burn_in if args.burn_in is not None else 5000,
-                         thin=args.thin or 100,
+                         thin=args.thin if args.thin is not None else 100,
                          method=Method.parse(args.method),
                          seed=args.seed if args.seed is not None else 0)
 
@@ -151,21 +158,13 @@ def cmd_impute(args, argv) -> int:
     if method.uses_constraint:
         if not args.margin:
             raise SchemaError(f"{method.label} requires --margin with the known total")
-        with open(args.margin, "r", encoding="utf-8") as fh:
-            margin = AuxiliaryMargin.from_json_dict(json.load(fh))
+        margin = AuxiliaryMargin.from_json_dict(_read_json(args.margin))
         if args.refresh_variance:
             margin = refresh_margin_variance(
                 sample, margin, settings,
                 with_replacement=args.with_replacement_variance)
     elif args.margin:
         raise SchemaError(f"{method.label} does not use a margin; drop --margin")
-
-    if method.outcome_has_stratum:
-        labels = set(int(s) for s in sample.stratum_draws)
-        if not labels <= {1, 2}:
-            raise SchemaError(
-                f"{method.label} models the design with a stratum-2 indicator and "
-                f"needs strata labeled 1/2; found {sorted(labels)}")
 
     out = args.out or _default_out("impute")
     setup_s = time.perf_counter() - t0

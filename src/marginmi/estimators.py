@@ -188,7 +188,7 @@ def weighted_probit_fit(sample: SurveySample, stratum_term: bool = False,
     (s_c, y_c, x_c), n_c = _cells((s_idx, _y_code(sample.y), sample.x > 0.5),
                                   (len(labels), 3, 2))
     stratum_c = labels[s_c]
-    design, terms = outcome_design(y_c + 1, stratum_c if stratum_term else None)
+    design, terms = outcome_design(y_c + 1, stratum_c if stratum_term else None, labels)
     full_rank_gram(design, n_c)
     z = x_c == 1
     w_c = sample.weight[first][s_c]                  # weights are constant per stratum

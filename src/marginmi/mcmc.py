@@ -1,11 +1,14 @@
 """Metropolis-within-Gibbs sampler producing multiply imputed datasets.
 
-One Gibbs cycle per iteration: (1) a Metropolis proposal that redraws the
-whole missing-x vector from its posterior predictive distribution and, for
-constraint methods, accepts or rejects it against the auxiliary margin;
-(2) a conjugate Dirichlet draw for the y-distribution; (3)-(4) probit
-coefficient draws for the outcome and response models via latent-utility
-data augmentation. Every draw stream is a pure function of (inputs, seed).
+Given the parameters, the nonrespondents of a (stratum, y) cell are
+exchangeable, so the imputation state is k_sy, the imputed ones per cell. One
+Gibbs cycle per iteration: (1) a Metropolis proposal that redraws every count
+from Binomial(m_sy, p_sy), its posterior predictive law, and for constraint
+methods accepts or rejects it against the auxiliary margin; (2) a conjugate
+Dirichlet draw for the y-distribution; (3)-(4) an independence
+Metropolis-Hastings step for each probit model's coefficients on its grouped
+cell-count likelihood. Unit-level x is built only for retained draws. Every
+draw stream is a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import ndtr
 
 from .errors import DesignError, ParameterError
+from .estimators import _MAX_HALVINGS, _MAX_NEWTON, _loglik, _score_factors
 from .models import full_rank_gram, outcome_design, response_design
 from .survey import AuxiliaryMargin, SurveySample
 
-_LOG_TAIL = -30.0        # sign * lp below which latents are drawn in log space
+_MODE_TOL = 1e-10        # Newton decrement before the last step to a posterior mode
 
 
 class Method(enum.Enum):
@@ -90,12 +94,8 @@ class ChainState:
     theta: np.ndarray
     outcome_coef: np.ndarray
     response_coef: np.ndarray
-    imputations: np.ndarray                 # 0/1 per missing slot
-    totals_by_stratum: Dict[int, float]
-
-    @property
-    def completed_total(self) -> float:
-        return float(sum(self.totals_by_stratum.values()))
+    counts: np.ndarray                      # (K, 3) imputed ones per (stratum, y) cell
+    totals: np.ndarray                      # (K,) completed HT total per stratum
 
 
 @dataclass(frozen=True)
@@ -138,31 +138,7 @@ class ChainResult:
 
 
 # ---------------------------------------------------------------------------
-# Truncated normal sampling
-# ---------------------------------------------------------------------------
-
-def _one_sided_latents(lp: np.ndarray, positive: np.ndarray, rng) -> np.ndarray:
-    """Latent utilities for probit augmentation: N(lp, 1) truncated to
-    (0, inf) for a positive response and to (-inf, 0) otherwise.
-
-    Inverse-CDF on the retained side: with a = sign * lp and u uniform on
-    (0, 1], the draw is lp - sign * ndtri(u * Phi(a)). Phi(a) underflows
-    near a = -37.5, so entries with a < -30 take the same quantile as
-    ndtri_exp(log u + log Phi(a)), which stays accurate arbitrarily far
-    into the tail.
-    """
-    sign = np.where(positive, 1.0, -1.0)
-    u = 1.0 - rng.random(len(lp))            # in (0, 1]
-    a = sign * lp
-    z = ndtri(u * ndtr(a))
-    if a.min() < _LOG_TAIL:
-        far = a < _LOG_TAIL
-        z[far] = ndtri_exp(np.log(u[far]) + log_ndtr(a[far]))
-    return lp - sign * z
-
-
-# ---------------------------------------------------------------------------
-# Conjugate updates
+# Conjugate and Metropolis-Hastings parameter updates
 # ---------------------------------------------------------------------------
 
 def update_theta(y_counts, prior, rng) -> np.ndarray:
@@ -176,51 +152,81 @@ def update_theta(y_counts, prior, rng) -> np.ndarray:
     return rng.dirichlet(prior + counts)
 
 
-def posterior_cholesky(xtx: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the coefficient posterior precision I + X'X."""
-    return np.linalg.cholesky(xtx + np.eye(xtx.shape[0]))
+def _log_posterior(beta, design, z, w) -> float:
+    """Grouped probit log-likelihood plus the N(0, I) log prior, up to a constant."""
+    return _loglik(beta, design, z, w) - 0.5 * float(beta @ beta)
 
 
-def draw_probit_coefficients(design: np.ndarray, latents: np.ndarray, rng,
-                             chol: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact normal full-conditional draw given latent utilities.
+def probit_proposal(design: np.ndarray, z: np.ndarray, w: np.ndarray,
+                    start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mode of the grouped probit posterior and the Cholesky factor of H, the
+    Fisher information plus I at the mode.
 
-    Standard normal prior on every coefficient: posterior precision
-    I + X'X, posterior mean (I + X'X)^{-1} X'u. ``chol`` is the precision's
-    Cholesky factor when the design is fixed across calls.
+    Row c of ``design`` stands for ``w[c]`` units with response ``z[c]``; the
+    prior is N(0, I), so the posterior is log-concave with a unique mode even
+    for separated responses. Damped Newton runs from ``start`` until the
+    Newton decrement is below ``_MODE_TOL``, then takes one last full step:
+    the result depends on the cell table alone, up to rounding.
     """
-    p = design.shape[1]
-    if chol is None:
-        chol = posterior_cholesky(design.T @ design)
-    xtu = design.T @ latents
-    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, xtu))
-    z = rng.standard_normal(p)
-    return mean + np.linalg.solve(chol.T, z)
+    eye = np.eye(design.shape[1])
+    beta = np.asarray(start, dtype=float)
+    log_post = _log_posterior(beta, design, z, w)
+    for _ in range(_MAX_NEWTON):
+        lp, s, _ = _score_factors(beta, design, z)
+        grad = design.T @ (w * s) - beta
+        hess = design.T @ (design * (w * s * (s + lp))[:, None]) + eye
+        step = np.linalg.solve(hess, grad)
+        if grad @ step < _MODE_TOL:
+            beta = beta + step
+            break
+        for halvings in range(_MAX_HALVINGS):
+            cand = beta + step / 2.0 ** halvings
+            cand_post = _log_posterior(cand, design, z, w)
+            if cand_post >= log_post - 1e-12 * (1.0 + abs(log_post)):
+                break
+        beta, log_post = cand, cand_post
+    _, _, omega = _score_factors(beta, design, z)
+    return beta, np.linalg.cholesky(design.T @ (design * (w * omega)[:, None]) + eye)
+
+
+def draw_probit_coefficients(beta: np.ndarray, design: np.ndarray, z: np.ndarray,
+                             w: np.ndarray, proposal: Tuple[np.ndarray, np.ndarray],
+                             rng) -> np.ndarray:
+    """One independence Metropolis-Hastings step on the grouped probit
+    posterior of the cell table (``design``, ``z``, ``w``).
+
+    ``proposal`` is ``probit_proposal``'s (mode, Cholesky factor of H) for the
+    same table; the candidate is drawn from N(mode, H^-1). Returns the
+    candidate if accepted, else ``beta``.
+    """
+    mode, chol = proposal
+    eps = rng.standard_normal(len(mode))
+    cand = mode + np.linalg.solve(chol.T, eps)
+    dev = chol.T @ (beta - mode)
+    log_ratio = (_log_posterior(cand, design, z, w) - _log_posterior(beta, design, z, w)
+                 + 0.5 * float(eps @ eps - dev @ dev))
+    return cand if rng.random() < math.exp(min(log_ratio, 0.0)) else beta
 
 
 # ---------------------------------------------------------------------------
 # Imputation proposal and Metropolis step
 # ---------------------------------------------------------------------------
 
-def _imputation_probs(y: np.ndarray, stratum: np.ndarray,
-                      outcome_coef: np.ndarray, response_coef: np.ndarray,
-                      method: Method) -> np.ndarray:
-    """Posterior predictive Pr(x = 1) per nonrespondent, vectorized.
+def _imputation_probs(outcome_rows: np.ndarray, response_rows,
+                      outcome_coef: np.ndarray, response_coef: np.ndarray) -> np.ndarray:
+    """Posterior predictive Pr(x = 1) of a nonrespondent in each cell.
 
-    For AN methods the response-model likelihood at r = 1 reweights the
-    outcome-model probability; without an x term it cancels.
+    ``outcome_rows`` are the cells' outcome-design rows, ``response_rows``
+    their response-design rows at x = 0 and at x = 1, or None without an x
+    term, where the response model cancels. With it, the response-model
+    likelihood at r = 1 reweights the outcome-model probability.
     """
-    g_lp = outcome_coef[0] + outcome_coef[1] * (y == 2) + outcome_coef[2] * (y == 3)
-    if method.outcome_has_stratum:
-        g_lp = g_lp + outcome_coef[3] * (stratum == 2)
-    g = ndtr(g_lp)
-    if not method.response_has_x:
+    g = ndtr(outcome_rows @ outcome_coef)
+    if response_rows is None:
         return g
-    h_lp = response_coef[0] + response_coef[1] * (y == 2) + response_coef[2] * (y == 3)
-    h1 = ndtr(h_lp + response_coef[3])
-    h0 = ndtr(h_lp)
-    num = g * h1
-    den = num + (1.0 - g) * h0
+    rows0, rows1 = response_rows
+    num = g * ndtr(rows1 @ response_coef)
+    den = num + (1.0 - g) * ndtr(rows0 @ response_coef)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), g)
 
 
@@ -240,135 +246,133 @@ def constraint_acceptance_ratio(candidate_total: float, current_total: float,
 
 
 class _SamplePrep:
-    """Fixed per-sample arrays shared by every iteration of a chain."""
+    """Cell tables of one sample, shared by every iteration of a chain.
+
+    The nonrespondent cells are the (stratum, y) pairs, stratum-major; the
+    chain's counts and every per-cell array here have shape (K, 3). Each
+    probit table lists its cell rows once with response 1, then once with
+    response 0, weighted by the observed units' counts plus those the
+    imputed counts imply.
+    """
 
     def __init__(self, sample: SurveySample, method: Method):
         self.sample = sample
-        self.y = sample.y
-        self.stratum = sample.stratum
-        self.r = sample.r
-        self.weight = sample.weight
         self.strata = tuple(int(s) for s in sorted(sample.stratum_draws))
-        self.miss = sample.missing_indices
-        self.y_mis = sample.y[self.miss]
-        self.stratum_mis = sample.stratum[self.miss]
-        self.w_mis = sample.weight[self.miss]
-        obs_mask = ~np.isnan(sample.x)
-        self.obs_total_by_stratum = {
-            s: float(np.dot(sample.weight[(sample.stratum == s) & obs_mask],
-                            sample.x[(sample.stratum == s) & obs_mask]))
-            for s in self.strata}
-        self.mis_sel_by_stratum = {s: np.nonzero(self.stratum_mis == s)[0]
-                                   for s in self.strata}
+        k = len(self.strata)
+        s_idx = np.searchsorted(self.strata, sample.stratum)
+        cell = 3 * s_idx + sample.y - 1
+        miss, obs = np.isnan(sample.x), ~np.isnan(sample.x)
+        ones = sample.x == 1.0
+        n_cell = np.bincount(cell, minlength=3 * k)
+        self.missing = np.bincount(cell[miss], minlength=3 * k).reshape(k, 3)
+        self.weight = np.array([sample.stratum_weight(s) for s in self.strata])
+        self.obs_total = self.weight * np.bincount(s_idx[ones], minlength=k)
         # the observed-respondent mean of x seeds the initial imputations
-        n_obs = int(obs_mask.sum())
-        self.obs_x_mean = float(sample.x[obs_mask].mean()) if n_obs else 0.5
-        self.y_counts = np.array([(sample.y == k).sum() for k in (1, 2, 3)], dtype=float)
+        self.obs_x_mean = float(ones.sum() / obs.sum()) if obs.any() else 0.5
+        self.y_counts = np.bincount(sample.y - 1, minlength=3).astype(float)
+        # unit indices of each nonrespondent cell, for the completed datasets
+        order = np.argsort(cell[miss], kind="stable")
+        self.missing_units = np.split(np.nonzero(miss)[0][order],
+                                      np.cumsum(self.missing.ravel())[:-1])
 
-        self.outcome_design, self.outcome_terms = outcome_design(
-            self.y, self.stratum if method.outcome_has_stratum else None)
-        self.outcome_chol = posterior_cholesky(full_rank_gram(self.outcome_design))
-        # the x column of an AN response design is refilled every iteration;
-        # only the fixed y columns are rank-checked here, and only the MAR
-        # design's posterior precision is fixed
-        self.response_design, self.response_terms = response_design(
-            self.y, sample.x if method.response_has_x else None)
-        base_xtx = full_rank_gram(self.response_design[:, :3])
-        self.response_chol = None if method.response_has_x else posterior_cholesky(base_xtx)
-        self.sel_by_stratum = {s: np.nonzero(self.stratum == s)[0] for s in self.strata}
-        self.w_by_stratum = {s: self.weight[sel] for s, sel in self.sel_by_stratum.items()}
+        cell_y = np.tile([1, 2, 3], k)
+        self.outcome_rows, self.outcome_terms = outcome_design(
+            cell_y, np.repeat(self.strata, 3) if method.outcome_has_stratum else None,
+            self.strata)
+        full_rank_gram(self.outcome_rows, n_cell)
+        self.outcome_design = np.vstack([self.outcome_rows] * 2)
+        self.outcome_z = np.repeat([True, False], 3 * k)
+        self._outcome_obs = np.bincount((cell + 3 * k * (sample.x == 0.0))[obs],
+                                        minlength=6 * k).astype(float)
 
-    def totals_from(self, x_filled: np.ndarray) -> Dict[int, float]:
-        return {s: float(np.dot(self.w_by_stratum[s], x_filled[sel]))
-                for s, sel in self.sel_by_stratum.items()}
+        # only the response model's y columns are rank-checked: its x column
+        # follows the imputations
+        rows, self.response_terms = response_design(np.array([1, 2, 3]))
+        full_rank_gram(rows, self.y_counts)
+        self.response_rows = None
+        # without the x term every unit's row is known: (y, r)
+        code = (sample.y - 1 + 3 * (sample.r == 0))
+        if method.response_has_x:
+            # rows (y, x), x-major; a nonrespondent cell's rows at x = 0 and 1
+            rows, self.response_terms = response_design(np.tile([1, 2, 3], 2),
+                                                        np.repeat([0.0, 1.0], 3))
+            self.response_rows = (rows[cell_y - 1], rows[cell_y + 2])
+            code = (sample.y - 1 + 3 * ones + 6 * (sample.r == 0))[obs]
+        self.response_design = np.vstack([rows, rows])
+        self.response_z = np.repeat([True, False], len(rows))
+        self._response_obs = np.bincount(code, minlength=2 * len(rows)).astype(float)
+
+    def totals(self, counts: np.ndarray) -> np.ndarray:
+        """Completed HT total of each stratum."""
+        return self.obs_total + self.weight * counts.sum(axis=1)
+
+    def outcome_weights(self, counts: np.ndarray) -> np.ndarray:
+        return self._outcome_obs + np.r_[counts.ravel(), (self.missing - counts).ravel()]
+
+    def response_weights(self, counts: np.ndarray) -> np.ndarray:
+        if self.response_rows is None:
+            return self._response_obs
+        # nonrespondents (r = 1) enter the response-1 rows at x = 0 and 1
+        ones = counts.sum(axis=0)
+        return self._response_obs + np.r_[self.missing.sum(axis=0) - ones, ones, np.zeros(6)]
+
+    def completed_x(self, counts: np.ndarray, rng) -> np.ndarray:
+        """x with k_sy ones placed uniformly at random among the units of each
+        nonrespondent cell: the law of iid Bernoulli draws given their sum."""
+        x = self.sample.x.copy()
+        for units, k in zip(self.missing_units, counts.ravel()):
+            x[units] = 0.0
+            x[rng.choice(units, size=k, replace=False)] = 1.0
+        return x
 
 
 def _margin_blocks(margin: Optional[AuxiliaryMargin], prep: _SamplePrep):
     """(labels, totals, variances) of the Metropolis accept/reject blocks."""
-    if margin is None or margin.scope == "overall":
-        t = (margin.total,) if margin is not None else (None,)
-        v = (margin.variance,) if margin is not None else (None,)
-        return ("overall",), t, v
+    if margin is None:
+        return ("overall",), (None,), (None,)
+    if margin.scope == "overall":
+        return ("overall",), (margin.total,), (margin.variance,)
     missing = [s for s in prep.strata if s not in margin.totals]
     if missing:
         raise DesignError(f"per-stratum margin lacks strata {missing}")
-    labels = tuple(s for s in prep.strata)
-    return (labels,
-            tuple(margin.totals[s] for s in labels),
-            tuple(margin.variances[s] for s in labels))
+    return (prep.strata, tuple(margin.totals[s] for s in prep.strata),
+            tuple(margin.variances[s] for s in prep.strata))
 
 
-def _metropolis_step(state: ChainState, prep: _SamplePrep, x_filled: np.ndarray,
+def _metropolis_step(state: ChainState, prep: _SamplePrep,
                      margin: Optional[AuxiliaryMargin], method: Method,
                      rng) -> np.ndarray:
-    """Propose a full replacement of the imputations; accept per block.
+    """Propose a full replacement of the counts; accept per block.
 
-    Mutates ``state`` and ``x_filled`` in place and returns the 0/1 accepted
-    flag per block. Without a constraint the proposal is always accepted.
+    Mutates ``state`` in place and returns the 0/1 accepted flag per block.
+    Without a constraint the proposal is always accepted.
     """
     labels, m_totals, m_vars = _margin_blocks(margin, prep)
-    n_mis = len(prep.miss)
-    if n_mis == 0:
-        return np.ones(len(labels))
+    flags = np.ones(len(labels))
+    if not prep.missing.any():
+        return flags
 
-    probs = _imputation_probs(prep.y_mis, prep.stratum_mis,
-                              state.outcome_coef, state.response_coef, method)
-    proposal = (rng.random(n_mis) < probs).astype(np.int64)
-
-    if not method.uses_constraint:
-        state.imputations = proposal
-        x_filled[prep.miss] = proposal
-        state.totals_by_stratum = prep.totals_from(x_filled)
-        return np.ones(1)
-
-    flags = np.zeros(len(labels))
-    unif = rng.random(len(labels))
-    if margin.scope == "overall":
-        cand_by_stratum = {
-            s: prep.obs_total_by_stratum[s]
-            + float(np.dot(prep.w_mis[prep.mis_sel_by_stratum[s]],
-                           proposal[prep.mis_sel_by_stratum[s]]))
-            for s in prep.strata}
-        cand = sum(cand_by_stratum.values())
-        p = constraint_acceptance_ratio(cand, state.completed_total,
-                                        (m_totals[0], m_vars[0]))
-        if unif[0] <= p:
-            state.imputations = proposal
-            x_filled[prep.miss] = proposal
-            state.totals_by_stratum = cand_by_stratum
-            flags[0] = 1.0
-    else:
-        for j, s in enumerate(labels):
-            sel = prep.mis_sel_by_stratum[s]
-            cand_s = prep.obs_total_by_stratum[s] + float(
-                np.dot(prep.w_mis[sel], proposal[sel]))
-            p = constraint_acceptance_ratio(cand_s, state.totals_by_stratum[s],
+    probs = _imputation_probs(prep.outcome_rows, prep.response_rows,
+                              state.outcome_coef, state.response_coef)
+    proposal = rng.binomial(prep.missing, probs.reshape(prep.missing.shape))
+    cand = prep.totals(proposal)
+    if method.uses_constraint:
+        unif = rng.random(len(labels))
+        for j, label in enumerate(labels):
+            # the strata of the block: all of them for an overall margin
+            sel = slice(None) if label == "overall" else slice(j, j + 1)
+            p = constraint_acceptance_ratio(cand[sel].sum(), state.totals[sel].sum(),
                                             (m_totals[j], m_vars[j]))
-            if unif[j] <= p:
-                state.imputations[sel] = proposal[sel]
-                x_filled[prep.miss[sel]] = proposal[sel]
-                state.totals_by_stratum[s] = cand_s
-                flags[j] = 1.0
+            if unif[j] > p:
+                proposal[sel], cand[sel] = state.counts[sel], state.totals[sel]
+                flags[j] = 0.0
+    state.counts, state.totals = proposal, cand
     return flags
 
 
 # ---------------------------------------------------------------------------
 # Full chain
 # ---------------------------------------------------------------------------
-
-def _initial_state(prep: _SamplePrep, method: Method, rng) -> ChainState:
-    n_mis = len(prep.miss)
-    imputations = (rng.random(n_mis) < prep.obs_x_mean).astype(np.int64)
-    x_filled = prep.sample.x.copy()
-    x_filled[prep.miss] = imputations
-    p_out = len(prep.outcome_terms)
-    p_resp = len(prep.response_terms)
-    return ChainState(theta=np.full(3, 1.0 / 3.0),
-                      outcome_coef=np.zeros(p_out),
-                      response_coef=np.zeros(p_resp),
-                      imputations=imputations,
-                      totals_by_stratum=prep.totals_from(x_filled))
-
 
 def _low_acceptance_windows(indicators: np.ndarray, blocks=None, burn_in: int = 0,
                             window: int = 500, threshold: float = 0.1) -> List[str]:
@@ -412,58 +416,51 @@ def run_chain(sample: SurveySample, margin: Optional[AuxiliaryMargin],
 
     rng = np.random.default_rng(settings.seed)
     prep = _SamplePrep(sample, method)
-    state = _initial_state(prep, method, rng)
-    x_filled = sample.x.copy()
-    x_filled[prep.miss] = state.imputations
+    counts = rng.binomial(prep.missing, prep.obs_x_mean)
+    state = ChainState(theta=np.full(3, 1.0 / 3.0),
+                       outcome_coef=np.zeros(len(prep.outcome_terms)),
+                       response_coef=np.zeros(len(prep.response_terms)),
+                       counts=counts, totals=prep.totals(counts))
 
     block_labels, _, _ = _margin_blocks(margin, prep)
     n_blocks = len(block_labels)
     indicators = np.zeros((settings.iterations, n_blocks))
 
-    n_retained = settings.n_imputations
     datasets: List[SurveySample] = []
-    theta_draws = np.empty((n_retained, 3))
-    outcome_draws = np.empty((n_retained, len(prep.outcome_terms)))
-    response_draws = np.empty((n_retained, len(prep.response_terms)))
-    totals_draws = np.empty((n_retained, n_blocks))
-    accepted_draws = np.empty((n_retained, n_blocks))
-
-    resp_design = prep.response_design
-    r_positive = prep.r == 1
-
-    kept = 0
+    retained = []               # (theta, outcome, response, totals, flags) per draw
     theta_prior = np.asarray(theta_prior, dtype=float)
+    # (mode, Cholesky factor of H) of each coefficient proposal; a mode
+    # warm-starts the next Newton
+    outcome_prop = (state.outcome_coef, None)
+    response_prop = (state.response_coef, None)
     for t in range(1, settings.iterations + 1):
-        flags = _metropolis_step(state, prep, x_filled, margin, method, rng)
+        flags = _metropolis_step(state, prep, margin, method, rng)
         indicators[t - 1] = flags
 
         state.theta = update_theta(prep.y_counts, theta_prior, rng)
 
-        # outcome model: completed x on y indicators (+ stratum term)
-        lp = prep.outcome_design @ state.outcome_coef
-        latents = _one_sided_latents(lp, x_filled > 0.5, rng)
+        # outcome model: completed x on y indicators (+ stratum terms)
+        w = prep.outcome_weights(state.counts)
+        outcome_prop = probit_proposal(prep.outcome_design, prep.outcome_z, w,
+                                       outcome_prop[0])
         state.outcome_coef = draw_probit_coefficients(
-            prep.outcome_design, latents, rng, chol=prep.outcome_chol)
+            state.outcome_coef, prep.outcome_design, prep.outcome_z, w, outcome_prop, rng)
 
-        # response model: r on y indicators (+ completed x for AN methods)
-        if method.response_has_x:
-            resp_design[:, 3] = x_filled
-        lp = resp_design @ state.response_coef
-        latents = _one_sided_latents(lp, r_positive, rng)
-        state.response_coef = draw_probit_coefficients(resp_design, latents, rng,
-                                                       chol=prep.response_chol)
+        # response model: r on y indicators (+ completed x for AN methods);
+        # without the x term its table never changes
+        w = prep.response_weights(state.counts)
+        if method.response_has_x or response_prop[1] is None:
+            response_prop = probit_proposal(prep.response_design, prep.response_z, w,
+                                            response_prop[0])
+        state.response_coef = draw_probit_coefficients(
+            state.response_coef, prep.response_design, prep.response_z, w,
+            response_prop, rng)
 
         if t > settings.burn_in and (t - settings.burn_in) % settings.thin == 0:
-            datasets.append(sample.with_x(x_filled))
-            theta_draws[kept] = state.theta
-            outcome_draws[kept] = state.outcome_coef
-            response_draws[kept] = state.response_coef
-            if n_blocks == 1:
-                totals_draws[kept, 0] = state.completed_total
-            else:
-                totals_draws[kept] = [state.totals_by_stratum[s] for s in block_labels]
-            accepted_draws[kept] = flags
-            kept += 1
+            datasets.append(sample.with_x(prep.completed_x(state.counts, rng)))
+            retained.append((state.theta, state.outcome_coef, state.response_coef,
+                             state.totals.sum() if n_blocks == 1 else state.totals.copy(),
+                             flags))
 
     warnings: Tuple[str, ...] = ()
     if method.uses_constraint:
@@ -471,13 +468,14 @@ def run_chain(sample: SurveySample, margin: Optional[AuxiliaryMargin],
                                                  burn_in=settings.burn_in))
     trace = AcceptanceTrace(indicators=indicators, blocks=block_labels,
                             burn_in=settings.burn_in, warnings=warnings)
-    draws = ParameterDraws(theta=theta_draws, outcome=outcome_draws,
-                           response=response_draws,
+    theta, outcome, response, totals, accepted = (np.array(c, dtype=float)
+                                                  for c in zip(*retained))
+    draws = ParameterDraws(theta=theta, outcome=outcome, response=response,
                            outcome_terms=prep.outcome_terms,
                            response_terms=prep.response_terms,
-                           totals=totals_draws, block_labels=block_labels,
-                           accepted=accepted_draws)
-    return ChainResult(datasets=datasets[:n_retained], trace=trace, draws=draws)
+                           totals=totals.reshape(len(retained), n_blocks),
+                           block_labels=block_labels, accepted=accepted)
+    return ChainResult(datasets=datasets, trace=trace, draws=draws)
 
 
 def write_chain_trace_csv(result: ChainResult, path) -> None:

@@ -1,9 +1,9 @@
 """Model coding shared by the sampler and the completed-data estimators.
 
 The probit CDF, and the design matrices of the two probit models: the
-outcome model (x on y indicators, plus a stratum-2 indicator for methods
-that control for the design) and the response model (r on y indicators,
-plus x for the AN methods). Category 1 of y and stratum 1 are the
+outcome model (x on y indicators, plus stratum indicators for methods that
+control for the design) and the response model (r on y indicators, plus x
+for the AN methods). Category 1 of y and the lowest stratum label are the
 reference levels. Scalar CDF values go through the C library's erfc,
 arrays through scipy's ndtr.
 """
@@ -11,7 +11,7 @@ arrays through scipy's ndtr.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,15 +34,20 @@ def _y_columns(y: np.ndarray):
     return [np.ones(len(y)), (y == 2).astype(float), (y == 3).astype(float)]
 
 
-def outcome_design(y: np.ndarray, stratum: Optional[np.ndarray] = None
+def outcome_design(y: np.ndarray, stratum: Optional[np.ndarray] = None,
+                   labels: Optional[Sequence[int]] = None
                    ) -> Tuple[np.ndarray, Tuple[str, ...]]:
-    """Outcome-model design and term names: intercept and y indicators, plus
-    a stratum-2 indicator when ``stratum`` is given."""
+    """Outcome-model design and term names: intercept and y indicators, plus,
+    when ``stratum`` is given, an indicator ``stratum<label>`` for every
+    label but the lowest of ``labels``, the sample's whole label set (which
+    the rows need not all show; by default the labels present in ``stratum``).
+    """
     cols = _y_columns(y)
     terms = _Y_TERMS
     if stratum is not None:
-        cols.append((stratum == 2).astype(float))
-        terms += ("stratum2",)
+        for s in sorted(int(v) for v in (np.unique(stratum) if labels is None else labels))[1:]:
+            cols.append((stratum == s).astype(float))
+            terms += (f"stratum{s}",)
     return np.column_stack(cols), terms
 
 

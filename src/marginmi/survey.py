@@ -115,10 +115,6 @@ class SurveySample:
     def is_complete(self) -> bool:
         return self.n_missing == 0
 
-    @property
-    def missing_indices(self) -> np.ndarray:
-        return np.nonzero(np.isnan(self.x))[0]
-
     def stratum_weight(self, s: int) -> float:
         return float(self.weight[self.stratum == s][0])
 
@@ -213,16 +209,16 @@ class AuxiliaryMargin:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "AuxiliaryMargin":
         try:
-            scope = d["scope"]
-            totals = d["totals"]
-            variances = d["variances"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"margin declaration missing field: {exc}") from exc
-        if scope == "overall":
-            return cls.overall(totals["overall"], variances["overall"])
-        if scope == "per-stratum":
-            return cls.per_stratum({int(s): float(t) for s, t in totals.items()},
-                                   {int(s): float(v) for s, v in variances.items()})
+            scope, totals, variances = d["scope"], d["totals"], d["variances"]
+            if scope == "overall":
+                return cls.overall(float(totals["overall"]), float(variances["overall"]))
+            if scope == "per-stratum":
+                return cls.per_stratum({int(s): float(t) for s, t in totals.items()},
+                                       {int(s): float(v) for s, v in variances.items()})
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            if isinstance(exc, ParameterError):
+                raise
+            raise SchemaError(f"bad margin declaration: {exc!r}") from exc
         raise SchemaError(f"unknown margin scope {scope!r}")
 
 

@@ -109,6 +109,13 @@ def test_simulate_seed_override_changes_results(tmp_path):
         (out2 / "tiny-cli_totals.csv").read_bytes()
 
 
+def test_simulate_truncated_config_is_usage_error(tmp_path, capsys):
+    config = tiny_config_file(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_simulate_refuses_nonempty_output(tmp_path, capsys):
     config = tiny_config_file(tmp_path)
     out = tmp_path / "busy"
@@ -205,6 +212,40 @@ def test_impute_rejects_margin_for_mar(tmp_path, capsys):
     assert main(["impute", str(data), "--method", "MAR+Weight",
                  "--margin", str(margin_path), "--out", str(tmp_path / "x")]) == 2
     assert "margin" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"scope": "overall", "totals": {"all": 1.0}, "variances": {"overall": 4.0}}',
+     "KeyError('overall')"),
+    ('{"scope": "overall", "totals": {"overall": "abc"}, "variances": {"overall": 4.0}}',
+     "ValueError"),
+    ('{"scope": "per-stratum", "totals": {"1": "abc"}, "variances": {"1": 4.0}}',
+     "ValueError"),
+    ('{"scope": "overall", "totals": {"overall": 25',
+     "not valid JSON"),
+])
+def test_impute_malformed_margin_is_usage_error(tmp_path, capsys, text, message):
+    data, _, _, _ = _small_survey(tmp_path)
+    margin_path = tmp_path / "bad_margin.json"
+    margin_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "x"
+    assert main(["impute", str(data), "--margin", str(margin_path),
+                 "--method", "AN+Constraint", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--iterations", "0", "--burn-in", "10", "--thin", "5"], "burn_in < iterations"),
+    (["--iterations", "300", "--burn-in", "100", "--thin", "0"], "thin must be >= 1"),
+])
+def test_impute_rejects_zero_chain_flags(tmp_path, capsys, flags, message):
+    data, margin_path, _, _ = _small_survey(tmp_path)
+    out = tmp_path / "x"
+    assert main(["impute", str(data), "--margin", str(margin_path),
+                 "--out", str(out), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_impute_malformed_weight_reports_rows(tmp_path, capsys):

@@ -6,25 +6,25 @@ import numpy as np
 import pytest
 from pytest import approx
 from scipy import stats
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr
 
 from marginmi.errors import ParameterError, SingularDesignError
+from marginmi.estimators import _score_factors
 from marginmi.mcmc import (ChainSettings, ChainState, Method,
                            constraint_acceptance_ratio,
-                           draw_probit_coefficients, posterior_cholesky,
+                           draw_probit_coefficients, probit_proposal,
                            run_chain, update_theta,
                            write_chain_trace_csv, _imputation_probs,
-                           _metropolis_step, _one_sided_latents, _SamplePrep)
-from marginmi.models import norm_cdf, outcome_design
+                           _metropolis_step, _SamplePrep)
+from marginmi.models import norm_cdf, outcome_design, response_design
 from marginmi.survey import (AuxiliaryMargin, draw_stratified_sample,
-                             generate_population, ht_total, impose_missingness)
+                             generate_population, ht_total, impose_missingness,
+                             margin_from_population)
 from conftest import make_sample
 
 # frozen oracle values (mpmath, dps=40)
 HALF_NORMAL_MEAN = 0.79788456080286535588
 HALF_NORMAL_SD = 0.60281027498908697428
-MILLS_AT_5 = 5.1865039671258421156
-TAIL5_SD = 0.18082155462530518058
 IMPUTATION_PROB = 0.33078531987029924601     # g=Phi(.5), h ratio at y=1, g2=-1.1
 
 THETA = {1: (0.5, 0.15, 0.35), 2: (0.1, 0.45, 0.45)}
@@ -73,136 +73,240 @@ def test_update_theta_rejects_bad_inputs(rng):
 
 
 # ---------------------------------------------------------------------------
-# truncated-normal latents (_one_sided_latents)
+# the coefficient step on one-unit tables
 # ---------------------------------------------------------------------------
+#
+# With one unit of design value d and response z, the posterior of a single
+# coefficient under the N(0, 1) prior is 2 phi(b) Phi(+-d b): the skew-normal
+# with shape +d for z = 1 and -d for z = 0. The tests start the step from
+# exact posterior draws, so its output must follow the same law.
+
+def _one_unit(d, positive):
+    """Cell table of one unit with design value d and response ``positive``."""
+    w = np.array([1.0, 0.0]) if positive else np.array([0.0, 1.0])
+    return np.array([[d], [d]]), np.array([True, False]), w
+
+
+def _steps(starts, table, rng):
+    """One coefficient step from each row of ``starts`` on the given table."""
+    design, z, w = table
+    starts = np.asarray(starts, dtype=float).reshape(len(starts), -1)
+    proposal = probit_proposal(design, z, w, np.zeros(design.shape[1]))
+    return np.array([draw_probit_coefficients(b, design, z, w, proposal, rng)
+                     for b in starts])
+
+
+def _one_unit_steps(d, positive, n, rng):
+    """(starts, draws): exact skew-normal posterior draws and one step from each."""
+    shape = d if positive else -d
+    starts = stats.skewnorm(shape).rvs(size=n, random_state=rng)
+    return starts, _steps(starts, _one_unit(d, positive), rng)[:, 0]
+
 
 def test_truncated_normal_half_normal_mean(rng):
-    # at lp = 0 either side is a half-normal, so |draw| has the half-normal mean
-    n = 100000
-    positive = np.arange(n) % 2 == 0
-    draws = _one_sided_latents(np.zeros(n), positive, rng)
-    assert ((draws > 0) == positive).all()
+    # |b| is half-normal under every skew-normal, whatever the shape
+    n = 20000
+    draws = np.concatenate([_one_unit_steps(40.0, positive, n // 2, rng)[1]
+                            for positive in (True, False)])
     mc_se = HALF_NORMAL_SD / math.sqrt(n)
     assert abs(np.abs(draws).mean() - HALF_NORMAL_MEAN) <= 3 * mc_se
 
 
 def test_truncated_normal_unrestricted_is_normal(rng):
-    # with the response drawn from its probit law, the two truncations mix
-    # back to the untruncated N(lp, 1)
-    n, lp = 100000, 0.4
-    positive = rng.random(n) < norm_cdf(lp)
-    draws = _one_sided_latents(np.full(n, lp), positive, rng)
-    ks = stats.kstest(draws - lp, "norm").statistic
+    # b ~ N(0, 1) and z from its probit law: b is an exact posterior draw
+    # given z, so after one step the draws, mixed over z, are N(0, 1) again
+    n, d = 20000, 1.5
+    truth = rng.standard_normal(n)
+    positive = rng.random(n) < norm_cdf(d * truth)
+    draws = np.empty(n)
+    for side in (True, False):
+        sel = positive == side
+        draws[sel] = _steps(truth[sel], _one_unit(d, side), rng)[:, 0]
+    assert (draws != truth).mean() > 0.5
+    ks = stats.kstest(draws, "norm").statistic
     assert ks < 1.63 / math.sqrt(n)    # 1% critical value
 
 
 def test_truncated_normal_far_tail_mills_ratio(rng):
-    # lp = -5 with a positive response: latent + 5 ~ Z | Z > 5
-    n = 100000
-    latents = _one_sided_latents(np.full(n, -5.0), np.ones(n, dtype=bool), rng)
-    assert (latents > 0.0).all()
-    mc_se = TAIL5_SD / math.sqrt(n)
-    assert abs((latents + 5.0).mean() - MILLS_AT_5) <= 3 * mc_se
+    # shape -5: mean -sqrt(2/pi) delta and variance 1 - 2 delta^2 / pi,
+    # delta = 5 / sqrt(26)
+    n = 20000
+    _, draws = _one_unit_steps(-5.0, True, n, rng)
+    delta = 5.0 / math.sqrt(26.0)
+    var = 1.0 - 2.0 * delta * delta / math.pi
+    assert abs(draws.mean() + math.sqrt(2.0 / math.pi) * delta) <= 3 * math.sqrt(var / n)
 
 
 def test_truncated_normal_vector_bounds(rng):
+    design = np.column_stack([np.ones(5), np.linspace(-2, 2, 5)])
     z = np.array([1, 0, 1, 0, 1], dtype=bool)
-    draws = _one_sided_latents(np.linspace(-2, 2, 5), z, rng)
-    assert draws.shape == (5,)
-    assert ((draws > 0) == z).all()
+    w = np.full(5, 3.0)
+    proposal = probit_proposal(design, z, w, np.zeros(2))
+    beta = np.array([0.3, -0.2])
+    out = draw_probit_coefficients(beta, design, z, w, proposal, rng)
+    assert out.shape == (2,)
+    assert np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("lp,positive", [(0.7, True), (0.7, False),
                                          (-2.5, True), (3.5, False),
                                          (2.0, True), (-1.0, False)])
 def test_one_sided_latent_kernel_matches_truncnorm(rng, lp, positive):
-    n = 20000
-    draws = _one_sided_latents(np.full(n, lp), np.full(n, positive, dtype=bool), rng)
-    assert ((draws > 0) == positive).all()
-    if positive:
-        dist = stats.truncnorm(-lp, np.inf, loc=lp)
-    else:
-        dist = stats.truncnorm(-np.inf, -lp, loc=lp)
-    ks = stats.kstest(draws, dist.cdf).statistic
+    n = 10000
+    starts, draws = _one_unit_steps(lp, positive, n, rng)
+    assert (draws != starts).mean() > 0.5
+    ks = stats.kstest(draws, stats.skewnorm(lp if positive else -lp).cdf).statistic
     assert ks < 1.63 / math.sqrt(n)
 
 
 def test_one_sided_latents_log_branch_is_the_same_quantile():
-    # the direct inverse CDF lp - sign * ndtri(u Phi(sign * lp)) stays finite
-    # down to sign * lp = -36; the kernel must reproduce it bit for bit where
-    # sign * lp >= -30 and to rounding on the log-space branch below that
-    n = 4001
-    lp = np.linspace(-36.0, 36.0, n)
-    positive = np.arange(n) % 2 == 0
-    draws = _one_sided_latents(lp, positive, np.random.default_rng(8))
-    u = 1.0 - np.random.default_rng(8).random(n)
-    sign = np.where(positive, 1.0, -1.0)
-    direct = lp - sign * ndtri(u * ndtr(sign * lp))
-    near = sign * lp >= -30.0
-    assert np.array_equal(draws[near], direct[near])
-    assert (~near).sum() > 100
-    assert draws[~near] == approx(direct[~near], rel=1e-9, abs=1e-12)
+    # the proposal is a function of the cell table alone: Newton from any
+    # start lands on the same mode and factor
+    design = np.column_stack([np.ones(6), [0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1]])
+    design = np.vstack([design, design])
+    z = np.repeat([True, False], 6)
+    w = np.array([30, 12, 4, 9, 0, 7, 10, 25, 0, 2, 5, 1], dtype=float)
+    mode, chol = probit_proposal(design, z, w, np.zeros(3))
+    score = design.T @ (w * _score_factors(mode, design, z)[1]) - mode
+    assert np.abs(score).max() < 1e-9
+    for start in ([5.0, -5.0, 5.0], [-3.0, 2.0, 8.0], mode):
+        other_mode, other_chol = probit_proposal(design, z, w, np.array(start))
+        assert other_mode == approx(mode, rel=1e-12, abs=1e-12)
+        assert other_chol == approx(chol, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("positive", [True, False])
 @pytest.mark.parametrize("lp", [-200.0, -40.0, 40.0, 200.0])
 def test_one_sided_latents_sign_at_extreme_predictors(rng, lp, positive):
+    # the skew-normal with shape a puts 1/2 - arctan(|a|)/pi of its mass on
+    # the side opposite to a
     n = 20000
-    draws = _one_sided_latents(np.full(n, lp), np.full(n, positive), rng)
+    starts, draws = _one_unit_steps(lp, positive, n, rng)
     assert np.isfinite(draws).all()
-    assert ((draws > 0) == positive).all()
+    assert (draws != starts).any()
+    shape = lp if positive else -lp
+    wrong = 0.5 - math.atan(abs(shape)) / math.pi
+    got = (np.sign(draws) != np.sign(shape)).mean()
+    assert abs(got - wrong) <= 4 * math.sqrt(wrong * (1 - wrong) / n)
 
 
 @pytest.mark.parametrize("lp,positive", [(-40.0, True), (40.0, False)])
 def test_one_sided_latents_far_tail_mills_ratio(rng, lp, positive):
-    # truncated 40 sd into the tail: |draw - lp| ~ Z | Z > 40, whose mean is
-    # the Mills ratio phi(40) / Phi(-40) and variance 1 + 40 m - m^2
-    a, n = 40.0, 20000
-    mills = math.exp(-0.5 * a * a - 0.5 * math.log(2 * math.pi) - log_ndtr(-a))
-    var = 1.0 + a * mills - mills * mills
-    draws = _one_sided_latents(np.full(n, lp), np.full(n, positive), rng)
-    excess = np.abs(draws - lp)
-    assert abs(excess.mean() - mills) <= 3 * math.sqrt(var / n)
+    # the response sits 40 sd into the tail at b = -1 (lp < 0, z = 1) or
+    # b = 1 (lp > 0, z = 0); the posterior is the skew-normal with shape
+    # -40, of mean -sqrt(2/pi) delta and variance 1 - 2 delta^2 / pi
+    n = 20000
+    _, draws = _one_unit_steps(lp, positive, n, rng)
+    delta = 40.0 / math.sqrt(1.0 + 40.0 ** 2)
+    var = 1.0 - 2.0 * delta * delta / math.pi
+    assert abs(draws.mean() + math.sqrt(2.0 / math.pi) * delta) <= 3 * math.sqrt(var / n)
 
 
 # ---------------------------------------------------------------------------
-# probit coefficient updates
+# the coefficient step on grouped tables
 # ---------------------------------------------------------------------------
+
+def _quadrature_posterior(design, z, w, half_width=5.0, points=801):
+    """Grid and normalized mass of a 2-coefficient grouped probit posterior."""
+    grid = np.linspace(-half_width, half_width, points)
+    b0, b1 = np.meshgrid(grid, grid, indexing="ij")
+    beta = np.stack([b0.ravel(), b1.ravel()], axis=1)
+    lp = beta @ design.T
+    loglik = (np.where(z, log_ndtr(lp), log_ndtr(-lp)) * w).sum(axis=1)
+    log_mass = loglik - 0.5 * (beta ** 2).sum(axis=1)
+    mass = np.exp(log_mass - log_mass.max())
+    return beta, mass / mass.sum()
+
+
+# (intercept, x) tables: rows (x = 0, z = 1), (x = 1, z = 1), then the same
+# cells with z = 0, weighted by unit counts
+GROUPED_TABLES = {
+    "regular": (1.0, np.array([6.0, 4.0, 5.0, 3.0])),
+    # every x = 1 unit has z = 1: the MLE of the x coefficient is infinite
+    "quasi-separated": (1.0, np.array([4.0, 5.0, 6.0, 0.0])),
+    # the same at x = 40, where the prior alone bounds the coefficient and
+    # the x = 40 rows sit near |lp| = 40 over the bulk of the posterior
+    "lp40": (40.0, np.array([4.0, 5.0, 6.0, 0.0])),
+}
+
+
+def _grouped_table(table):
+    x, w = GROUPED_TABLES[table]
+    return np.array([[1.0, 0.0], [1.0, x]] * 2), np.repeat([True, False], 2), w
+
+
+@pytest.mark.parametrize("table", list(GROUPED_TABLES))
+def test_coefficient_step_leaves_grouped_posterior_invariant(rng, table):
+    # starts drawn from the quadrature posterior (uniform within each grid
+    # cell), one step each: the draws must keep the same marginal laws
+    design, z, w = _grouped_table(table)
+    grid, mass = _quadrature_posterior(design, z, w)
+    n = 20000
+    cells = rng.choice(len(mass), size=n, p=mass)
+    step = grid[1, 1] - grid[0, 1]
+    starts = grid[cells] + (rng.random((n, 2)) - 0.5) * step
+    draws = _steps(starts, (design, z, w), rng)
+    assert (draws != starts).any(axis=1).mean() > 0.1
+    for j in range(2):
+        order = np.argsort(grid[:, j], kind="stable")
+        cdf = np.cumsum(mass[order])
+        values = grid[order, j]
+        last = np.r_[values[1:] != values[:-1], True]
+        marginal_cdf = lambda x: np.interp(x, values[last] + step / 2, cdf[last])
+        ks = stats.kstest(draws[:, j], marginal_cdf).statistic
+        assert ks < 1.95 / math.sqrt(n), f"coefficient {j}: KS {ks:.4f}"   # 0.1% level
+
 
 def test_update_coefficients_empty_data_draws_from_prior(rng):
-    draws = np.array([draw_probit_coefficients(np.empty((0, 3)), np.empty(0), rng)
-                      for _ in range(20000)])
+    design, z, w = np.empty((0, 3)), np.empty(0, dtype=bool), np.empty(0)
+    proposal = probit_proposal(design, z, w, np.zeros(3))
+    beta = np.zeros(3)
+    draws = []
+    for _ in range(20000):
+        beta = draw_probit_coefficients(beta, design, z, w, proposal, rng)
+        draws.append(beta)
+    draws = np.array(draws)
     mc_se = 1.0 / math.sqrt(len(draws))
     assert (np.abs(draws.mean(axis=0)) <= 3 * mc_se).all()
     assert draws.std(axis=0) == approx(np.ones(3), rel=0.05)
 
 
 def test_coefficient_draw_has_conjugate_conditional_mean(rng):
-    n, p = 100, 3
-    design = rng.standard_normal((n, p))
-    latents = rng.standard_normal(n) + design @ np.array([0.5, -1.0, 0.2])
-    prec = np.eye(p) + design.T @ design
-    expected = np.linalg.solve(prec, design.T @ latents)
-    cov = np.linalg.inv(prec)
-    draws = np.array([draw_probit_coefficients(design, latents, rng)
-                      for _ in range(20000)])
-    mc_se = np.sqrt(np.diag(cov) / len(draws))
-    assert (np.abs(draws.mean(axis=0) - expected) <= 3 * mc_se).all()
+    # 2-coefficient posterior mean and covariance against quadrature, from
+    # the step iterated on a regular table
+    design, z, w = _grouped_table("regular")
+    grid, mass = _quadrature_posterior(design, z, w)
+    mean = mass @ grid
+    cov = (grid - mean).T @ ((grid - mean) * mass[:, None])
+    proposal = probit_proposal(design, z, w, np.zeros(2))
+    beta = np.zeros(2)
+    draws = []
+    for _ in range(20000):
+        beta = draw_probit_coefficients(beta, design, z, w, proposal, rng)
+        draws.append(beta)
+    draws = np.array(draws)
+    # near-independent draws: the acceptance rate is high on this table
+    mc_se = np.sqrt(np.diag(cov) / len(draws) * 2.0)
+    assert (np.abs(draws.mean(axis=0) - mean) <= 3 * mc_se).all()
+    assert np.cov(draws.T) == approx(cov, rel=0.05, abs=0.01)
 
 
 def test_update_coefficients_recovers_truth(rng):
-    # the sampler's two kernels alternated: latents given beta, beta given latents
+    # 5000 units on the (y) cells of the outcome design, the step iterated
     n = 5000
     truth = np.array([0.5, -0.5, -1.0])
     y = rng.choice(3, size=n, p=[0.4, 0.3, 0.3]) + 1
-    design, _ = outcome_design(y)
-    chol = posterior_cholesky(design.T @ design)
-    z = rng.random(n) < norm_cdf(design @ truth)
+    x = rng.random(n) < norm_cdf(outcome_design(y)[0] @ truth)
+    rows, _ = outcome_design(np.array([1, 2, 3]))
+    design = np.vstack([rows, rows])
+    z = np.repeat([True, False], 3)
+    w = np.array([np.sum(x & (y == k)) for k in (1, 2, 3)]
+                 + [np.sum(~x & (y == k)) for k in (1, 2, 3)], dtype=float)
+    proposal = probit_proposal(design, z, w, np.zeros(3))
     beta = np.zeros(3)
     kept = []
     for sweep in range(400):
-        latents = _one_sided_latents(design @ beta, z, rng)
-        beta = draw_probit_coefficients(design, latents, rng, chol=chol)
+        beta = draw_probit_coefficients(beta, design, z, w, proposal, rng)
         if sweep >= 200:
             kept.append(beta)
     kept = np.array(kept)
@@ -223,27 +327,35 @@ def test_update_coefficients_rank_deficient_design():
 # imputation probabilities
 # ---------------------------------------------------------------------------
 
+def _cell_probs(y, outcome, response, stratum=None):
+    """_imputation_probs for one nonrespondent (y[, stratum]) cell."""
+    y = np.array([y])
+    rows, _ = outcome_design(y, None if stratum is None else np.array([stratum]), (1, 2))
+    response_rows = None
+    if len(response) == 4:
+        response_rows = tuple(response_design(y, np.array([x]))[0] for x in (0.0, 1.0))
+    return _imputation_probs(rows, response_rows, np.asarray(outcome, float),
+                             np.asarray(response, float))[0]
+
+
 def test_imputation_prob_reduces_to_outcome_model_when_g2_zero():
     out_vec = np.array([0.5, -0.5, -1.0])
     resp_vec = np.array([-0.25, 0.1, 0.3, 0.0])
     for y in (1, 2, 3):
-        p = _imputation_probs(np.array([y]), np.array([1]), out_vec, resp_vec,
-                              Method.AN_CONSTRAINT)[0]
+        p = _cell_probs(y, out_vec, resp_vec)
         g = norm_cdf(out_vec[0] + out_vec[1] * (y == 2) + out_vec[2] * (y == 3))
         assert p == approx(g, abs=1e-15)
 
 
 def test_imputation_prob_hand_value():
-    out_vec = np.array([0.5, 0.0, 0.0])
-    resp_vec = np.array([-0.25, 0.0, 0.0, -1.1])
-    p = _imputation_probs(np.array([1]), np.array([1]), out_vec, resp_vec,
-                          Method.AN_CONSTRAINT)[0]
+    p = _cell_probs(1, [0.5, 0.0, 0.0], [-0.25, 0.0, 0.0, -1.1])
     assert p == approx(IMPUTATION_PROB, abs=1e-12)
 
 
 def _proposal(method, y, stratum, outcome, response, n_missing, rng):
-    """Imputations from one unconstrained step for n_missing nonrespondents
-    that all share (y, stratum); the observed units span every category."""
+    """Imputed-ones count of one unconstrained step for n_missing
+    nonrespondents that all share (y, stratum); the observed units span
+    every category."""
     sample = make_sample(stratum=[1, 1, 1, 2, 2, 2] + [stratum] * n_missing,
                          weight=[2.0] * 3 + [3.0] * 3
                          + [2.0 if stratum == 1 else 3.0] * n_missing,
@@ -251,34 +363,52 @@ def _proposal(method, y, stratum, outcome, response, n_missing, rng):
                          x=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0] + [np.nan] * n_missing)
     prep = _SamplePrep(sample, method)
     state = _toy_state(prep, np.asarray(outcome, float), np.asarray(response, float))
-    _metropolis_step(state, prep, sample.x.copy(), None, method, rng)
-    return state.imputations
+    _metropolis_step(state, prep, None, method, rng)
+    assert state.counts.sum() == state.counts[stratum - 1, y - 1]
+    return state.counts[stratum - 1, y - 1]
 
 
 def test_imputation_prob_degenerate_outcome(rng):
     out_vec = np.array([40.0, 0.0, 0.0])      # Phi(40) == 1 in doubles
     resp_vec = np.array([-0.25, 0.0, 0.0, -1.1])
-    p = _imputation_probs(np.array([1]), np.array([1]), out_vec, resp_vec,
-                          Method.AN_CONSTRAINT)[0]
-    assert p == 1.0
-    draws = _proposal(Method.AN_WEIGHT, 1, 1, [40.0, 0.0, 0.0, 0.0], resp_vec, 200, rng)
-    assert (draws == 1).all()
+    assert _cell_probs(1, out_vec, resp_vec) == 1.0
+    ones = _proposal(Method.AN_WEIGHT, 1, 1, [40.0, 0.0, 0.0, 0.0], resp_vec, 200, rng)
+    assert ones == 200
 
 
 def test_impute_missing_x_frequency_matches_probability(rng):
     n = 20000
-    draws = _proposal(Method.AN_WEIGHT, 1, 1, [0.5, -0.5, -1.0, 0.2],
-                      [-0.25, 0.1, 0.3, -1.1], n, rng)
+    ones = _proposal(Method.AN_WEIGHT, 1, 1, [0.5, -0.5, -1.0, 0.2],
+                     [-0.25, 0.1, 0.3, -1.1], n, rng)
     se = math.sqrt(IMPUTATION_PROB * (1 - IMPUTATION_PROB) / n)
-    assert abs(draws.mean() - IMPUTATION_PROB) <= 3 * se
+    assert abs(ones / n - IMPUTATION_PROB) <= 3 * se
 
 
 def test_impute_missing_x_mar_uses_outcome_only(rng):
     n = 20000
-    draws = _proposal(Method.MAR_WEIGHT, 2, 2, [0.5, -0.5, -1.0, 0.2],
-                      [-0.25, 0.1, 0.3], n, rng)
+    ones = _proposal(Method.MAR_WEIGHT, 2, 2, [0.5, -0.5, -1.0, 0.2],
+                     [-0.25, 0.1, 0.3], n, rng)
     g = norm_cdf(0.5 - 0.5 + 0.2)
-    assert abs(draws.mean() - g) <= 3 * math.sqrt(g * (1 - g) / n)
+    assert abs(ones / n - g) <= 3 * math.sqrt(g * (1 - g) / n)
+
+
+def test_completed_x_places_counts_uniformly(rng):
+    # 4 nonrespondents in cell (stratum 1, y = 2), 3 in (stratum 2, y = 3)
+    sample = make_sample(stratum=[1] * 7 + [2] * 7, weight=[2.0] * 7 + [3.0] * 7,
+                         y=[1, 2, 3, 2, 2, 2, 2, 1, 2, 3, 1, 3, 3, 3],
+                         x=[1, 0, 1, np.nan, np.nan, np.nan, np.nan,
+                            0, 1, 0, 1, np.nan, np.nan, np.nan])
+    prep = _SamplePrep(sample, Method.AN_WEIGHT)
+    counts = np.zeros_like(prep.missing)
+    counts[0, 1], counts[1, 2] = 1, 2
+    filled = np.array([prep.completed_x(counts, rng) for _ in range(20000)])
+    obs = ~np.isnan(sample.x)
+    assert (filled[:, obs] == sample.x[obs]).all()
+    assert (filled[:, 3:7].sum(axis=1) == 1).all()
+    assert (filled[:, 11:14].sum(axis=1) == 2).all()
+    for units, p in ((slice(3, 7), 1 / 4), (slice(11, 14), 2 / 3)):
+        freq = filled[:, units].mean(axis=0)
+        assert (np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / 20000)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +441,10 @@ def test_acceptance_ratio_can_exceed_one_and_stays_finite():
 # ---------------------------------------------------------------------------
 
 def _toy_state(prep, outcome, response):
-    x_filled = prep.sample.x.copy()
-    x_filled[prep.miss] = 0.0
+    counts = np.zeros_like(prep.missing)
     return ChainState(theta=np.full(3, 1 / 3), outcome_coef=outcome,
-                      response_coef=response,
-                      imputations=np.zeros(len(prep.miss), dtype=np.int64),
-                      totals_by_stratum=prep.totals_from(x_filled))
+                      response_coef=response, counts=counts,
+                      totals=prep.totals(counts))
 
 
 def test_step_without_missing_values_is_identity(rng):
@@ -324,14 +452,13 @@ def test_step_without_missing_values_is_identity(rng):
                          [1, 2, 3, 1], [1.0, 0.0, 1.0, 0.0])
     prep = _SamplePrep(sample, Method.AN_CONSTRAINT)
     state = _toy_state(prep, np.zeros(3), np.zeros(4))
-    assert state.totals_by_stratum == {1: 2.0, 2: 3.0}
-    x_filled = sample.x.copy()
+    assert state.totals.tolist() == [2.0, 3.0]
     margin = AuxiliaryMargin.overall(5.0, 4.0)
-    flags = _metropolis_step(state, prep, x_filled, margin, Method.AN_CONSTRAINT, rng)
+    flags = _metropolis_step(state, prep, margin, Method.AN_CONSTRAINT, rng)
     assert flags.tolist() == [1.0]
-    assert len(state.imputations) == 0
-    assert state.totals_by_stratum == {1: 2.0, 2: 3.0}
-    assert np.array_equal(x_filled, sample.x)
+    assert not state.counts.any()
+    assert state.totals.tolist() == [2.0, 3.0]
+    assert np.array_equal(prep.completed_x(state.counts, rng), sample.x)
 
 
 def test_step_flat_constraint_accepts_everything():
@@ -384,15 +511,14 @@ def test_six_unit_chain_matches_enumerated_stationary_distribution():
 
     prep = _SamplePrep(sample, Method.AN_CONSTRAINT)
     state = _toy_state(prep, outcome, response)
-    x_filled = sample.x.copy()
-    x_filled[prep.miss] = state.imputations
     rng = np.random.default_rng(123)
     counts = {k: 0 for k in target}
     n_iter, burn = 200000, 1000
     for t in range(n_iter + burn):
-        _metropolis_step(state, prep, x_filled, margin, Method.AN_CONSTRAINT, rng)
+        _metropolis_step(state, prep, margin, Method.AN_CONSTRAINT, rng)
         if t >= burn:
-            counts[(int(state.imputations[0]), int(state.imputations[1]))] += 1
+            # cells (stratum 1, y = 3) and (stratum 2, y = 2)
+            counts[(int(state.counts[0, 2]), int(state.counts[1, 1]))] += 1
     tv = 0.5 * sum(abs(counts[k] / n_iter - target[k]) for k in target)
     assert tv <= 0.01
 
@@ -464,6 +590,24 @@ def test_run_chain_mar_has_no_x_term():
     assert result.draws.response_terms == ("intercept", "y2", "y3")
     assert result.draws.response.shape[1] == 3
     assert result.draws.outcome_terms == ("intercept", "y2", "y3", "stratum2")
+
+
+def test_run_chain_three_strata_per_stratum_margin():
+    theta = {1: (0.5, 0.15, 0.35), 2: (0.1, 0.45, 0.45), 3: (0.3, 0.3, 0.4)}
+    sizes, draws = {1: 3000, 2: 2000, 3: 2500}, {1: 300, 2: 400, 3: 250}
+    pop = generate_population(theta, ALPHA, sizes, seed=41)
+    sample = draw_stratified_sample(pop, draws, seed=42)
+    masked, _ = impose_missingness(sample, GAMMA, seed=43)
+    margin = margin_from_population(pop, draws, "per-stratum")
+    settings = ChainSettings(iterations=1500, burn_in=500, thin=20,
+                             method=Method.AN_CONSTRAINT_WEIGHT, seed=44)
+    result = run_chain(masked, margin, settings)
+    assert result.trace.blocks == (1, 2, 3)
+    assert set(result.trace.ratio_by_block()) == {1, 2, 3}
+    assert result.draws.outcome_terms == ("intercept", "y2", "y3", "stratum2", "stratum3")
+    for j, s in enumerate(result.draws.block_labels):
+        off = result.draws.totals[:, j].mean() - margin.totals[s]
+        assert abs(off) <= 3 * math.sqrt(margin.variances[s]), f"stratum {s}: {off:+.1f}"
 
 
 def test_run_chain_seed_determinism():

@@ -157,7 +157,7 @@ def test_missingness_consistency_and_sealed_truth():
     _, sample = _scenario_sample()
     masked, sealed = impose_missingness(sample, GAMMA, seed=3)
     assert int((masked.r == 1).sum()) == masked.n_missing
-    assert np.array_equal(masked.missing_indices, sealed.indices)
+    assert np.array_equal(np.nonzero(np.isnan(masked.x))[0], sealed.indices)
     restored = masked.x.copy()
     restored[sealed.indices] = sealed.x_true
     assert np.array_equal(restored, sample.x)
